@@ -3,7 +3,8 @@
 PR 7's cross-family study showed fixed-budget SA losing to ETF on every
 >=1000-task family: one cooling schedule and one HLF seed per packet is not
 enough diversity.  A *portfolio* runs ``lanes`` heterogeneous annealing
-chains over the same packet in the lock-step batched engine
+chains over the same packet kernel, each a compiled array walk advanced one
+temperature step at a time
 (:func:`repro.core.array_annealer.anneal_replicas_batched`), where each lane
 varies three axes:
 
@@ -28,8 +29,8 @@ portfolio run is bit-reproducible under fixed seeds and each lane replays
 exactly as a scalar single-chain walk on its own child stream.
 
 This module is deliberately free of ``repro.core`` imports so that
-``repro.core.config`` can depend on it without a cycle; the engine consumes
-the :class:`LanePlan` duck-typed.
+``repro.core.config`` can depend on it without a cycle; the lane driver
+consumes the :class:`LanePlan` duck-typed.
 """
 
 from __future__ import annotations
@@ -173,14 +174,14 @@ class RungDecision:
 class SuccessiveHalvingController:
     """Deterministic successive-halving over recorded lane trajectories.
 
-    The engine calls :meth:`on_step` once per temperature step, after its
-    own stall/budget stopping has retired lanes.  At rung boundaries
+    The lane driver calls :meth:`on_step` once per temperature step, after
+    its own stall/budget stopping has retired lanes.  At rung boundaries
     (``step % rung == 0``) the still-walking lanes are ranked by the best
     cost in their recorded trajectory (ties to the lowest lane index), the
     worse half is culled, and the freed budget — culled lanes' remaining
     steps plus the unspent steps of lanes that stopped naturally since the
     last rung — is split evenly across the survivors, remainder to the
-    lowest-indexed ones.  Budgets are mutated in place; the engine's stop
+    lowest-indexed ones.  Budgets are mutated in place; the driver's stop
     condition reads them every step.
     """
 
@@ -202,7 +203,7 @@ class SuccessiveHalvingController:
         step: int,
         active: Sequence[int],
         budgets: np.ndarray,
-        n_iters: np.ndarray,
+        n_iters: Sequence[int],
         trajectories: Sequence[Sequence[Tuple[float, float]]],
     ) -> List[int]:
         """Return the lanes to cull after temperature step ``step``."""
@@ -251,13 +252,14 @@ class SuccessiveHalvingController:
 
 @dataclass
 class LanePlan:
-    """Per-lane walk parameters handed to the batched engine.
+    """Per-lane walk parameters handed to the lane driver.
 
     ``problems[b]`` builds lane *b*'s initial state, ``coolings[b]`` /
     ``t0s[b]`` drive its temperature, ``budgets[b]`` is its (mutable)
     temperature-step budget, and ``controller`` is consulted once per step
-    for rung culling.  The engine treats this duck-typed: any object with
-    these attributes works.
+    for rung culling.  The driver
+    (:func:`repro.core.array_annealer.anneal_replicas_batched`) treats this
+    duck-typed: any object with these attributes works.
     """
 
     problems: Sequence[object]

@@ -1,9 +1,9 @@
 """Multi-replica (multi-start) annealing summaries.
 
-A batched annealing run walks B independent replicas of the same problem —
-one child RNG stream each, lock-stepped by the array engine
+A multi-start annealing run walks B independent replicas of the same
+problem — one child RNG stream each, all over one shared packet kernel
 (:mod:`repro.core.array_annealer`) — and commits the best replica's result.
-This module holds the replica-level bookkeeping shared by that engine and
+This module holds the replica-level bookkeeping shared by that walk and
 its consumers: the per-replica statistics record, the deterministic
 best-replica selection rule, and a small summary helper for variance
 studies (the new capability batching opens beyond raw speed: B independent
@@ -21,13 +21,13 @@ __all__ = ["ReplicaStats", "best_replica_index", "summarize_replicas"]
 
 @dataclass(frozen=True)
 class ReplicaStats:
-    """Outcome summary of one replica of a batched annealing run.
+    """Outcome summary of one replica of a multi-start annealing run.
 
     ``temperature_trajectory`` holds one ``(temperature, cost)`` sample per
-    temperature step (the post-resync cost the stopping rule saw); it is
-    populated by the vectorized lock-step engine and empty on the scalar
-    fallback paths.  ``final_cost`` is ``None`` on paths that only surface
-    the elitist best state (the reference / trajectory-recording fallbacks).
+    temperature step (the post-resync cost the stopping rule saw) and
+    ``final_cost`` the cost the walk ended on; on the reference /
+    trajectory-recording fallbacks, which surface only the elitist best
+    state, they are empty and ``None``.
     """
 
     replica: int
@@ -53,7 +53,7 @@ class ReplicaStats:
 def best_replica_index(best_costs: Sequence[float]) -> int:
     """Index of the winning replica: lowest best cost, ties to the lowest index.
 
-    Deterministic by construction (pure comparison, no RNG), so batched runs
+    Deterministic by construction (pure comparison, no RNG), so multi-start runs
     commit the same replica on every rerun of the same seed.
     """
     if not best_costs:

@@ -8,10 +8,11 @@ communication-cost tables; a short simulated annealing run
 mappings of ready tasks onto idle processors under the normalized
 load-balancing + communication cost of :mod:`repro.core.cost` (equations 3–6)
 and the move/swap neighbourhood of :mod:`repro.core.moves`; the best mapping
-found becomes the epoch's assignment.  The inner walk runs in one of four
-bit-identical tiers (reference / kernel / array / batched multi-replica —
-see :mod:`repro.core.array_annealer` and ``SAConfig.walk`` /
-``SAConfig.replicas``).  The whole staged policy is exposed as
+found becomes the epoch's assignment.  The inner walk is either the
+reference loop (``SAConfig(compiled=False)``) or the bit-identical compiled
+array walk (the default), which also drives multi-start replicas and
+portfolio lanes — see :mod:`repro.core.array_annealer` and
+``SAConfig.replicas`` / ``SAConfig.portfolio``.  The whole staged policy is exposed as
 :class:`~repro.core.sa_scheduler.SAScheduler`, a drop-in
 :class:`~repro.schedulers.base.SchedulingPolicy` with an index-space
 ``fast_assign`` kernel for the compiled simulation engine.
@@ -25,7 +26,6 @@ from repro.core.moves import propose_move
 from repro.core.array_annealer import (
     anneal_array,
     anneal_replicas_batched,
-    anneal_replicas_scalar,
     compile_fast_packet,
 )
 from repro.core.packet_annealer import PacketAnnealer, PacketAnnealingOutcome
@@ -41,7 +41,6 @@ __all__ = [
     "propose_move",
     "anneal_array",
     "anneal_replicas_batched",
-    "anneal_replicas_scalar",
     "compile_fast_packet",
     "PacketAnnealer",
     "PacketAnnealingOutcome",

@@ -20,7 +20,6 @@ from repro.utils.rng import SeedLike
 __all__ = ["SAConfig"]
 
 _INIT_CHOICES = ("hlf", "random", "empty")
-_WALK_CHOICES = ("array", "kernel")
 
 
 @dataclass
@@ -64,32 +63,28 @@ class SAConfig:
         Figure-1 reproduction; off by default to keep memory small).
     compiled:
         Anneal over the precompiled packet kernel (dense cost tables; the
-        default).  ``False`` selects the original per-call cost evaluation —
-        bit-identical results, kept as the reference for equivalence tests
-        and as an escape hatch for exotic cost models.
-    walk:
-        Which compiled walk drives the inner loop: ``"array"`` (default) —
-        the array-native walk of :mod:`repro.core.array_annealer` (flat
-        index state, pre-drawn per-temperature draw blocks); ``"kernel"`` —
-        the PR-1 fused dict walk, kept as the differential oracle.  Both are
-        bit-identical for a fixed seed; non-sigmoid acceptance rules fall
-        back to the kernel walk automatically.  Ignored when
-        ``compiled=False``.
+        default) through the array walk of :mod:`repro.core.array_annealer`
+        (flat index state, pre-drawn per-temperature draw blocks).
+        ``False`` selects the original per-call cost evaluation in the
+        generic annealing loop — bit-identical results for every acceptance
+        rule, kept as the reference for equivalence tests and as an escape
+        hatch for exotic cost models.
     replicas:
         Number of independent annealing replicas per packet (multi-start
-        chains).  ``1`` (default) is the single-chain walk; ``B > 1`` runs B
-        lock-stepped replicas with per-replica child streams
-        (:func:`repro.utils.rng.split`) and commits the best replica's
-        mapping, reporting per-replica statistics for variance studies.
+        chains).  ``1`` (default) is the single-chain walk; ``B > 1`` walks B
+        replicas over one shared packet kernel with per-replica child
+        streams (:func:`repro.utils.rng.split`) and commits the best
+        replica's mapping, reporting per-replica statistics for variance
+        studies.
     portfolio:
         Anytime portfolio mode (:class:`repro.annealing.portfolio.PortfolioConfig`,
         or an ``int`` lane count for the default axes).  Runs heterogeneous
-        lanes (cooling x initial assignment x temperature scale) in the
-        lock-step batched engine with successive-halving racing over the
-        recorded per-temperature costs; culled lanes donate their remaining
-        draw budget to the survivors.  Mutually exclusive with
-        ``replicas > 1``; requires the compiled sigmoid array walk (the only
-        engine with per-lane budget masks).
+        lanes (cooling x initial assignment x temperature scale) as array
+        walks advanced one temperature step at a time, with
+        successive-halving racing over the recorded per-temperature costs;
+        culled lanes donate their remaining draw budget to the survivors.
+        Mutually exclusive with ``replicas > 1``; requires ``compiled=True``
+        (lanes share the compiled packet kernel).
     """
 
     weight_balance: float = 0.5
@@ -104,7 +99,6 @@ class SAConfig:
     seed: SeedLike = None
     record_trajectories: bool = False
     compiled: bool = True
-    walk: str = "array"
     replicas: int = 1
     portfolio: Optional[Union[int, PortfolioConfig]] = None
 
@@ -139,10 +133,6 @@ class SAConfig:
             raise ConfigurationError(
                 f"initial_mapping must be one of {_INIT_CHOICES}, got {self.initial_mapping!r}"
             )
-        if self.walk not in _WALK_CHOICES:
-            raise ConfigurationError(
-                f"walk must be one of {_WALK_CHOICES}, got {self.walk!r}"
-            )
         if self.replicas < 1:
             raise ConfigurationError(
                 f"replicas must be >= 1, got {self.replicas}"
@@ -160,15 +150,10 @@ class SAConfig:
                     "portfolio and replicas > 1 are mutually exclusive "
                     "(a portfolio already runs multiple lanes)"
                 )
-            if type(self.acceptance) is not BoltzmannSigmoidAcceptance:
+            if not self.compiled:
                 raise ConfigurationError(
-                    "portfolio mode requires the sigmoid acceptance rule "
-                    "(the batched engine's only acceptance kernel)"
-                )
-            if not self.compiled or self.walk != "array":
-                raise ConfigurationError(
-                    "portfolio mode requires compiled=True and walk='array' "
-                    "(per-lane budget masks exist only in the array engine)"
+                    "portfolio mode requires compiled=True "
+                    "(lanes share the compiled packet kernel)"
                 )
 
     def moves_for_packet(self, n_ready: int, n_idle: int) -> int:

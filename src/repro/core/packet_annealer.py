@@ -11,9 +11,10 @@ When the configuration's ``compiled`` flag is set (the default), the walk
 runs in the *index space* of the packet's compiled
 :class:`~repro.core.kernel.PacketKernel`: ready tasks and idle processors are
 renumbered as dense integers, every move is scored by table lookup, and the
-winning mapping is translated back to task/processor identifiers at the end.
-The kernel reproduces the reference evaluation bit for bit, so compiled and
-uncompiled runs accept exactly the same moves for a fixed seed.
+winning mapping is translated back to task/processor identifiers at the end
+(:func:`~repro.core.array_annealer.anneal_array`).  The kernel reproduces the
+reference evaluation bit for bit, so compiled and uncompiled runs accept
+exactly the same moves for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import math
-
 import numpy as np
 
-from repro.annealing.acceptance import BoltzmannSigmoidAcceptance
-from repro.annealing.annealer import Annealer, AnnealingResult
+from repro.annealing.annealer import Annealer
 from repro.annealing.portfolio import (
     LanePlan,
     PortfolioReport,
@@ -40,9 +38,9 @@ from repro.core.array_annealer import anneal_array, anneal_replicas_batched
 from repro.core.config import SAConfig
 from repro.core.cost import CostBreakdown, PacketCostFunction
 from repro.core.kernel import PacketKernel
-from repro.core.moves import _DROP_PROBABILITY, propose_move
+from repro.core.moves import propose_move
 from repro.core.packet import AnnealingPacket, PacketMapping
-from repro.utils.rng import StreamDraws, as_rng, split
+from repro.utils.rng import as_rng, split
 
 __all__ = [
     "PacketMappingProblem",
@@ -103,204 +101,6 @@ class PacketAnnealingOutcome:
     def improvement(self) -> float:
         """Cost decrease relative to the seed mapping (non-negative with elitism)."""
         return self.initial_cost - self.best_cost
-
-
-def _anneal_indexed(
-    kernel: PacketKernel,
-    problem: "PacketMappingProblem",
-    annealer: Annealer,
-    rng,
-) -> AnnealingResult:
-    """Fused annealing loop over the kernel's index space.
-
-    Replicates :meth:`~repro.annealing.annealer.Annealer.run` with the move
-    generator, incremental cost and (sigmoid) acceptance rule inlined over the
-    kernel's dense tables, drawing randomness through
-    :class:`~repro.utils.rng.StreamDraws`.  Every stochastic decision consumes
-    the generator's stream exactly as the generic loop does, so for a fixed
-    seed this produces bit-identical results — only faster (no per-proposal
-    mapping copies, no scalar numpy RNG calls, no method dispatch).
-    """
-    acceptance = annealer.acceptance
-    cooling = annealer.cooling
-    stopping = annealer.stopping
-    moves_per_temperature = annealer.moves_per_temperature
-
-    state0 = problem.initial_state(rng)
-    t2p: Dict[int, int] = dict(state0.task_to_proc)
-    p2t: Dict[int, int] = dict(state0.proc_to_task)
-
-    brows = kernel.balance_rows
-    rows = kernel.comm_rows
-    wb, wc = kernel.weight_balance, kernel.weight_comm
-    br, cr = kernel.balance_range, kernel.comm_range
-    n_ready, n_idle = kernel.n_ready, kernel.n_idle
-    comm_enabled = kernel.comm_enabled
-    degenerate = n_ready == 0 or n_idle == 0
-
-    def full_cost() -> float:
-        # Mirrors PacketKernel.total_cost term for term.
-        fb = -sum(brows[i][j] for i, j in t2p.items())
-        fc = 0.0
-        if comm_enabled:
-            for i, j in t2p.items():
-                fc += rows[i][j]
-        return wc * fc / cr + wb * fb / br
-
-    cost = full_cost()
-    best_map = dict(t2p)
-    best_cost = cost
-
-    t0 = (
-        annealer.initial_temperature
-        if annealer.initial_temperature is not None
-        else problem.initial_temperature(rng)
-    )
-    if t0 <= 0:
-        raise ValueError(f"initial temperature must be > 0, got {t0}")
-
-    stopping.reset()
-    draws = StreamDraws(rng)
-    sigmoid = type(acceptance) is BoltzmannSigmoidAcceptance
-    exp = math.exp
-    n_proposals = 0
-    n_accepted = 0
-    outer = 0
-    while True:
-        temperature = cooling.temperature(outer, t0)
-        if sigmoid:
-            if temperature < 0:
-                raise ValueError(f"temperature must be >= 0, got {temperature}")
-            zero_temp = temperature == 0.0
-            infinite_temp = math.isinf(temperature)
-        for _ in range(moves_per_temperature):
-            # ---- propose: moves.propose_move inlined in index space ------- #
-            # move kinds: 0 zero-delta, 1 drop, 2 (re)assign, 3 replace, 4 swap
-            kind = 0
-            delta = 0.0
-            if not degenerate:
-                if t2p and draws.random() < _DROP_PROBABILITY:
-                    tasks = list(t2p)
-                    task = tasks[draws.integers(0, len(tasks))]
-                    old_j = t2p[task]
-                    kind = 1
-                    balance_delta = 0.0 + brows[task][old_j]
-                    comm_delta = 0.0 - rows[task][old_j]
-                    delta = wc * comm_delta / cr + wb * balance_delta / br
-                else:
-                    task = draws.integers(0, n_ready)
-                    cur = t2p.get(task)
-                    if cur is None:
-                        new_j = draws.integers(0, n_idle)
-                    elif n_idle == 1:
-                        new_j = None  # nowhere else to go: zero-delta proposal
-                    else:
-                        idx = draws.integers(0, n_idle - 1)
-                        if idx >= cur:
-                            idx += 1
-                        new_j = idx
-                    if new_j is not None:
-                        brow = brows[task]
-                        row = rows[task]
-                        occupant = p2t.get(new_j)
-                        if occupant is None:
-                            kind = 2
-                            if cur is not None:
-                                balance_delta = 0.0 + brow[cur]
-                                comm_delta = 0.0 - row[cur]
-                            else:
-                                balance_delta = 0.0
-                                comm_delta = 0.0
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                        elif cur is None:
-                            kind = 3
-                            balance_delta = 0.0 + brows[occupant][new_j]
-                            comm_delta = 0.0 - rows[occupant][new_j]
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                        else:
-                            kind = 4
-                            balance_delta = 0.0 + brow[cur]
-                            comm_delta = 0.0 - row[cur]
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                            occ_brow = brows[occupant]
-                            occ_row = rows[occupant]
-                            balance_delta += occ_brow[new_j]
-                            comm_delta -= occ_row[new_j]
-                            balance_delta -= occ_brow[cur]
-                            comm_delta += occ_row[cur]
-                        delta = wc * comm_delta / cr + wb * balance_delta / br
-            # ---- accept: BoltzmannSigmoidAcceptance inlined --------------- #
-            n_proposals += 1
-            if sigmoid:
-                if zero_temp:
-                    probability = 1.0 if delta < 0.0 else 0.0
-                elif infinite_temp:
-                    probability = 0.5
-                else:
-                    exponent = delta / temperature
-                    if exponent > 500.0:
-                        probability = 0.0
-                    elif exponent < -500.0:
-                        probability = 1.0
-                    else:
-                        probability = 1.0 / (1.0 + exp(exponent))
-                if probability >= 1.0:
-                    accepted = True
-                elif probability <= 0.0:
-                    accepted = False
-                else:
-                    accepted = draws.random() < probability
-            else:
-                accepted = acceptance.accept(delta, temperature, draws)
-            if accepted:
-                # Apply the move in place, reproducing the dict-insertion
-                # order PacketMapping's assign/unassign/swap would leave.
-                if kind == 1:
-                    del t2p[task]
-                    del p2t[old_j]
-                elif kind == 2:
-                    if cur is not None:
-                        del t2p[task]
-                        del p2t[cur]
-                    t2p[task] = new_j
-                    p2t[new_j] = task
-                elif kind == 3:
-                    del t2p[occupant]
-                    t2p[task] = new_j
-                    p2t[new_j] = task
-                elif kind == 4:
-                    t2p[task] = new_j
-                    t2p[occupant] = cur
-                    p2t[new_j] = task
-                    p2t[cur] = occupant
-                n_accepted += 1
-                cost = cost + delta
-                if cost < best_cost:
-                    best_cost = cost
-                    best_map = dict(t2p)
-        # Per-temperature resynchronization against incremental-cost drift
-        # (mirrors Annealer.run).
-        resynced = full_cost()
-        if abs(resynced - cost) > annealer.resync_tolerance:
-            cost = resynced
-        if stopping.should_stop(outer, cost):
-            outer += 1
-            break
-        outer += 1
-
-    return AnnealingResult(
-        best_state=PacketMapping(best_map),
-        best_cost=best_cost,
-        final_state=PacketMapping(t2p),
-        final_cost=cost,
-        n_iterations=outer,
-        n_proposals=n_proposals,
-        n_accepted=n_accepted,
-        trajectory=[],
-    )
 
 
 def _kernel_breakdown(kernel: PacketKernel, mapping: PacketMapping) -> CostBreakdown:
@@ -445,17 +245,6 @@ class PacketAnnealer:
             record_trajectory=False,
         )
 
-    def _fused_walk(self, kernel: PacketKernel, problem, annealer: Annealer, rng) -> AnnealingResult:
-        """The compiled inner walk: array tier by default, kernel tier as the
-        configured alternative (and the automatic fallback for non-sigmoid
-        acceptance rules, which the array walk does not inline)."""
-        if (
-            self.config.walk == "array"
-            and type(annealer.acceptance) is BoltzmannSigmoidAcceptance
-        ):
-            return anneal_array(kernel, problem, annealer, rng)
-        return _anneal_indexed(kernel, problem, annealer, rng)
-
     def anneal(
         self,
         packet: AnnealingPacket,
@@ -549,9 +338,9 @@ class PacketAnnealer:
 
         annealer = self._build_annealer(packet)
         if kernel is not None and callback is None:
-            # Fused fast path: same walk, same RNG stream, no per-proposal
+            # Compiled fast path: same walk, same RNG stream, no per-proposal
             # copies or scalar numpy draws.
-            result = self._fused_walk(kernel, problem, annealer, as_rng(run_rng))
+            result = anneal_array(kernel, problem, annealer, as_rng(run_rng))
         else:
             result = annealer.run(problem, seed=run_rng, callback=callback)
 
@@ -590,7 +379,7 @@ class PacketAnnealer:
         already lowered the epoch into *packet* + *kernel*
         (:func:`repro.core.array_annealer.compile_fast_packet`), so this
         skips the :class:`~repro.core.cost.PacketCostFunction` build and runs
-        the same split-rng / seed-cost / fused-walk sequence as
+        the same split-rng / seed-cost / array-walk sequence as
         :meth:`anneal` — bit-identical outcomes when the tables are.
         """
         cfg = self.config
@@ -605,7 +394,7 @@ class PacketAnnealer:
         annealer = self._build_annealer(packet)
         seed_rng, run_rng = _split_rng(rng)
         initial_cost = problem.cost(problem.initial_state(seed_rng))
-        result = self._fused_walk(kernel, problem, annealer, as_rng(run_rng))
+        result = anneal_array(kernel, problem, annealer, as_rng(run_rng))
         best_mapping = result.best_state
         return PacketAnnealingOutcome(
             assignment=kernel.assignment_to_ids(best_mapping),
@@ -619,7 +408,7 @@ class PacketAnnealer:
         )
 
     # ------------------------------------------------------------------ #
-    # Batched multi-replica annealing
+    # Multi-start replicas
     # ------------------------------------------------------------------ #
     def _anneal_replicated(
         self,
@@ -631,10 +420,10 @@ class PacketAnnealer:
     ) -> PacketAnnealingOutcome:
         """Anneal ``cfg.replicas`` multi-start chains and commit the best.
 
-        Compiled, non-recording configurations run the vectorized lock-step
-        engine over one shared kernel; the reference path and
-        trajectory-recording runs fall back to one full scalar anneal per
-        child stream (same children, same per-replica results, just slower).
+        Compiled, non-recording configurations walk every replica over one
+        shared kernel; the reference path and trajectory-recording runs fall
+        back to one full anneal per child stream (same children, same
+        per-replica results, just slower).
         """
         cfg = self.config
         children = split(rng, cfg.replicas)
@@ -688,39 +477,72 @@ class PacketAnnealer:
         kernel: PacketKernel,
         children,
     ) -> PacketAnnealingOutcome:
-        """Lock-step replicas over one shared kernel (the batched hot path)."""
-        cfg = self.config
+        """Array-walk replicas over one shared kernel (the multi-start hot path)."""
         problem = PacketMappingProblem(
-            kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping
+            kernel.index_packet(), kernel, initial_mapping=self.config.initial_mapping
         )
-        annealer = self._build_annealer(packet)
+        return self._anneal_lanes(packet, kernel, children, [problem] * len(children))
+
+    def _anneal_lanes(
+        self,
+        packet: AnnealingPacket,
+        kernel: PacketKernel,
+        children,
+        problems,
+        plan: Optional[LanePlan] = None,
+    ) -> PacketAnnealingOutcome:
+        """Walk one lane per child stream over *kernel*, commit the best lane.
+
+        Each child is split into a twin seed generator (for the lane's
+        initial cost) and the lane's run generator, so lane *b* is
+        bit-identical to a single-chain run of its own configuration on
+        child *b*.  With a portfolio *plan* the lanes race
+        (:func:`~repro.core.array_annealer.anneal_replicas_batched`) and the
+        outcome carries the racing report.
+        """
         run_rngs = []
         initial_costs = []
-        for child in children:
+        for problem, child in zip(problems, children):
             seed_rng, run_rng = _split_rng(child)
             initial_costs.append(problem.cost(problem.initial_state(seed_rng)))
             run_rngs.append(as_rng(run_rng))
-        if cfg.walk == "array":
-            results, trajs = anneal_replicas_batched(kernel, problem, annealer, run_rngs)
-        else:
-            # Kernel-walk oracle: one scalar fused walk per replica.
-            results = [_anneal_indexed(kernel, problem, annealer, r) for r in run_rngs]
-            trajs = [[] for _ in results]
+        results, trajs = anneal_replicas_batched(
+            kernel, problems[0], self._build_annealer(packet), run_rngs, plan=plan
+        )
+        culled = set()
+        if plan is not None:
+            for rung in plan.controller.rungs:
+                culled.update(rung.culled)
         stats = [
             ReplicaStats(
                 replica=b,
-                best_cost=results[b].best_cost,
+                best_cost=result.best_cost,
                 initial_cost=initial_costs[b],
-                final_cost=results[b].final_cost,
-                n_proposals=results[b].n_proposals,
-                n_accepted=results[b].n_accepted,
-                n_temperature_steps=results[b].n_iterations,
+                final_cost=result.final_cost,
+                n_proposals=result.n_proposals,
+                n_accepted=result.n_accepted,
+                n_temperature_steps=result.n_iterations,
                 temperature_trajectory=tuple(trajs[b]),
+                culled=b in culled,
+                budget=None if plan is None else int(plan.budgets[b]),
             )
-            for b in range(len(results))
+            for b, result in enumerate(results)
         ]
         best = best_replica_index([r.best_cost for r in results])
         winner = results[best]
+        report = None
+        if plan is not None:
+            controller = plan.controller
+            report = PortfolioReport(
+                specs=plan.specs,
+                rungs=tuple(controller.rungs),
+                champion=best,
+                champion_cost=winner.best_cost,
+                n_culled=controller.n_culled,
+                budget_reallocated=controller.budget_reallocated,
+                final_budgets=tuple(int(x) for x in plan.budgets),
+                n_steps=tuple(r.n_iterations for r in results),
+            )
         return PacketAnnealingOutcome(
             assignment=kernel.assignment_to_ids(winner.best_state),
             best_cost=winner.best_cost,
@@ -731,6 +553,7 @@ class PacketAnnealer:
             n_temperature_steps=winner.n_iterations,
             best_replica=best,
             replica_stats=stats,
+            portfolio=report,
         )
 
     # ------------------------------------------------------------------ #
@@ -787,69 +610,12 @@ class PacketAnnealer:
     ) -> PacketAnnealingOutcome:
         """Race ``cfg.portfolio.lanes`` heterogeneous chains, commit the champion.
 
-        Same split-rng discipline as :meth:`_anneal_compiled_replicas` — one
-        child stream per lane, a twin seed generator for the initial cost —
-        so lane *b* is bit-identical to a scalar run of its own
-        configuration on child *b*, culled or not.
+        Lane *b* is bit-identical to a scalar run of its own configuration
+        on child *b*, culled or not.
         """
-        cfg = self.config
         plan = self.build_lane_plan(kernel, seed_assignments)
-        annealer = self._build_annealer(packet)
-        children = split(rng, cfg.portfolio.lanes)
-        run_rngs = []
-        initial_costs = []
-        for b, child in enumerate(children):
-            seed_rng, run_rng = _split_rng(child)
-            initial_costs.append(
-                plan.problems[b].cost(plan.problems[b].initial_state(seed_rng))
-            )
-            run_rngs.append(as_rng(run_rng))
-        results, trajs = anneal_replicas_batched(
-            kernel, plan.problems[0], annealer, run_rngs, plan=plan
-        )
-        controller = plan.controller
-        culled = set()
-        for rung in controller.rungs:
-            culled.update(rung.culled)
-        stats = [
-            ReplicaStats(
-                replica=b,
-                best_cost=results[b].best_cost,
-                initial_cost=initial_costs[b],
-                final_cost=results[b].final_cost,
-                n_proposals=results[b].n_proposals,
-                n_accepted=results[b].n_accepted,
-                n_temperature_steps=results[b].n_iterations,
-                temperature_trajectory=tuple(trajs[b]),
-                culled=b in culled,
-                budget=int(plan.budgets[b]),
-            )
-            for b in range(len(results))
-        ]
-        best = best_replica_index([r.best_cost for r in results])
-        winner = results[best]
-        report = PortfolioReport(
-            specs=plan.specs,
-            rungs=tuple(controller.rungs),
-            champion=best,
-            champion_cost=winner.best_cost,
-            n_culled=controller.n_culled,
-            budget_reallocated=controller.budget_reallocated,
-            final_budgets=tuple(int(x) for x in plan.budgets),
-            n_steps=tuple(r.n_iterations for r in results),
-        )
-        return PacketAnnealingOutcome(
-            assignment=kernel.assignment_to_ids(winner.best_state),
-            best_cost=winner.best_cost,
-            initial_cost=initial_costs[best],
-            breakdown=_kernel_breakdown(kernel, winner.best_state),
-            n_proposals=sum(r.n_proposals for r in results),
-            n_accepted=sum(r.n_accepted for r in results),
-            n_temperature_steps=winner.n_iterations,
-            best_replica=best,
-            replica_stats=stats,
-            portfolio=report,
-        )
+        children = split(rng, self.config.portfolio.lanes)
+        return self._anneal_lanes(packet, kernel, children, plan.problems, plan)
 
 
 def _split_rng(rng):
@@ -859,7 +625,5 @@ def _split_rng(rng):
     seed mapping computed outside the annealer matches the one the annealer
     rebuilds internally for the "random" initial-mapping strategy.
     """
-    import numpy as np
-
     seed = int(rng.integers(0, 2**63 - 1))
     return np.random.default_rng(seed), np.random.default_rng(seed)

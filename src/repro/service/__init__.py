@@ -20,7 +20,7 @@ Three mechanisms make the server fast where one-process-per-request is slow:
 * **Request coalescing** — compatible concurrent jobs queued for the same
   worker are flushed (on batch size or a small time window) as **one**
   batched B-lane engine call (:func:`repro.experiments.sweep.run_lane_group`),
-  so ten concurrent SA jobs cost one lock-step batched run, not ten solos.
+  so ten concurrent SA jobs share one lane-engine call, not ten solo runs.
 
 Workers that die mid-job are respawned and their jobs retried transparently;
 malformed requests get structured errors from the :mod:`repro.exceptions`

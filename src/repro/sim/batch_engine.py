@@ -30,8 +30,7 @@ kernels moves every lane one event batch forward:
   placement order, over per-lane link/communication timelines.
 
 Every lane is **bit-identical** to a solo :func:`run_compiled` run of the
-same cell — the same contract the batched annealer holds against
-``anneal_replicas_scalar`` — because each arithmetic step is either a
+same cell — because each arithmetic step is either a
 single IEEE operation mirrored from the solo path (``+``, ``/``) or an
 exact ``max``, and every policy's batched kernel reproduces its solo
 selection order and RNG draws.  The hypothesis differential suite pins that

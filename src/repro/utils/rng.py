@@ -8,11 +8,11 @@ when a seed is given and independent when it is not.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rng", "split", "StreamDraws", "SeedLike"]
+__all__ = ["as_rng", "spawn_rng", "split", "SeedLike"]
 
 SeedLike = Union[None, int, np.random.Generator]
 
@@ -33,99 +33,6 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-class StreamDraws:
-    """Buffered, bit-exact replica of a Generator's scalar ``random``/``integers`` draws.
-
-    ``numpy.random.Generator`` scalar calls cost ~1–2 µs each in Python-call
-    overhead, which dominates tight annealing loops.  This shim pulls raw
-    64-bit outputs from the generator's bit generator in bulk
-    (``random_raw``) and reimplements the two scalar draws the hot loop
-    needs:
-
-    * ``random()`` — ``(raw >> 11) * 2**-53``, numpy's double construction;
-    * ``integers(0, n)`` — Lemire's multiply-shift bounded draw over 32-bit
-      halves of the raw outputs (low half first, with the spare high half
-      buffered for the next call), numpy's algorithm for ranges that fit in
-      32 bits.
-
-    Both reproduce the wrapped generator's stream **bit for bit** (verified
-    by ``tests/test_utils.py``), so swapping a ``Generator`` for its
-    ``StreamDraws`` preserves every stochastic decision while cutting the
-    per-draw cost by an order of magnitude.  A pending buffered half-word in
-    the generator's state (``has_uint32``) is honoured at construction.
-
-    The shim takes ownership of the stream: once constructed, draws must go
-    through it (it reads ahead of the wrapped generator, which should be
-    discarded afterwards).
-    """
-
-    __slots__ = ("_bit_generator", "_buffer", "_pos", "_block", "_half")
-
-    _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
-    _M32 = (1 << 32) - 1
-
-    def __init__(self, rng: np.random.Generator, block: int = 256) -> None:
-        self._bit_generator = rng.bit_generator
-        self._buffer: list = []
-        self._pos = 0
-        self._block = int(block)
-        state = self._bit_generator.state
-        # Honour a half-word left over from earlier scalar integer draws.
-        self._half: Optional[int] = (
-            int(state["uinteger"]) if state.get("has_uint32") else None
-        )
-
-    def _raw(self) -> int:
-        if self._pos >= len(self._buffer):
-            self._buffer = self._bit_generator.random_raw(self._block).tolist()
-            self._pos = 0
-        value = self._buffer[self._pos]
-        self._pos += 1
-        return value
-
-    def random(self) -> float:
-        """One uniform double in [0, 1), identical to ``Generator.random()``."""
-        return (self._raw() >> 11) * self._INV_2_53
-
-    def integers(self, low: int, high: Optional[int] = None) -> int:
-        """One bounded integer, identical to ``Generator.integers(low, high)``.
-
-        Supports the half-open ``[low, high)`` form with ranges that fit in
-        32 bits (all the annealing loop ever draws).
-        """
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if n <= 0:
-            raise ValueError("low >= high")
-        if n == 1:
-            return low
-        if n > self._M32:  # pragma: no cover - defensive
-            raise ValueError(f"StreamDraws supports 32-bit ranges, got {n}")
-        half = self._half
-        if half is not None:
-            u32, self._half = half, None
-        else:
-            raw = self._raw()
-            u32 = raw & self._M32
-            self._half = raw >> 32
-        m = u32 * n
-        leftover = m & self._M32
-        if leftover < n:
-            threshold = ((1 << 32) - n) % n
-            while leftover < threshold:
-                half = self._half
-                if half is not None:
-                    u32, self._half = half, None
-                else:
-                    raw = self._raw()
-                    u32 = raw & self._M32
-                    self._half = raw >> 32
-                m = u32 * n
-                leftover = m & self._M32
-        return low + (m >> 32)
-
-
 def spawn_rng(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]:
     """Derive *n* statistically independent child generators from *rng*.
 
@@ -142,8 +49,8 @@ def spawn_rng(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]
 def split(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Split *rng* into *n* independent child generators.
 
-    The canonical entry point for multi-replica work (e.g. the batched
-    annealing engine gives each replica one child): one ``integers`` draw of
+    The canonical entry point for multi-replica work (e.g. the multi-start
+    annealer gives each replica one child): one ``integers`` draw of
     *n* fresh 63-bit seeds from the parent, one deterministic child stream
     per seed.  Identical to :func:`spawn_rng`; the name matches the
     replica-oriented call sites.

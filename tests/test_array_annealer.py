@@ -1,19 +1,18 @@
-"""The array-native annealing walks: equivalence, batching, SA fast path.
+"""The array-native annealing walk: equivalence, replicas, SA fast path.
 
 Four contracts are pinned here:
 
-* the single-chain array walk (``SAConfig(walk="array")``, the default)
-  replays the kernel walk (``walk="kernel"``) and the reference path
-  (``compiled=False``) **bit for bit** — identical accepted-move counts,
-  costs and committed assignments — on synthetic packets over homogeneous
-  and heterogeneous machines (hypothesis + fixed cases; the 24 golden
-  Table-2 cells and both random-graph fixtures pin the same walk end-to-end
-  through ``tests/test_golden_trace.py`` and ``tests/test_fast_engine.py``,
-  which run the default config);
-* the batched lock-step engine returns, for every replica, exactly the
-  result of a scalar single-chain walk on that replica's child stream, and
-  fixed ``(seed, B)`` runs are deterministic with ``B = 1`` matching the
-  single chain;
+* the compiled array walk (the default) replays the reference path
+  (``compiled=False``, the generic annealing loop) **bit for bit** —
+  identical accepted-move counts, costs and committed assignments — under
+  the sigmoid, Metropolis and greedy acceptance rules, on synthetic packets
+  over homogeneous and heterogeneous machines (hypothesis + fixed cases; the
+  24 golden Table-2 cells and both random-graph fixtures pin the same walk
+  end-to-end through ``tests/test_golden_trace.py`` and
+  ``tests/test_fast_engine.py``, which run the default config);
+* the multi-start driver returns, for every replica, exactly the result of
+  a single-chain array walk on that replica's child stream, and fixed
+  ``(seed, B)`` runs are deterministic;
 * :func:`~repro.core.array_annealer.compile_fast_packet` builds kernels
   bit-identical to the :class:`~repro.core.cost.PacketCostFunction` path, so
   SA's ``fast_assign`` commits the same mappings as the materialized-context
@@ -25,17 +24,23 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.annealing.acceptance import (
+    BoltzmannSigmoidAcceptance,
+    GreedyAcceptance,
+    MetropolisAcceptance,
+)
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
     anneal_array,
     anneal_replicas_batched,
-    anneal_replicas_scalar,
     compile_fast_packet,
 )
 from repro.core.config import SAConfig
@@ -45,7 +50,6 @@ from repro.core.packet import AnnealingPacket
 from repro.core.packet_annealer import (
     PacketAnnealer,
     PacketMappingProblem,
-    _anneal_indexed,
     _split_rng,
 )
 from repro.core.sa_scheduler import SAScheduler
@@ -97,6 +101,14 @@ _MACHINES = {
     "het": _hetero_machine,
 }
 
+#: The acceptance axis: the paper's inlined sigmoid and two rules the walk
+#: asks for their probability.
+_ACCEPTANCE = {
+    "sigmoid": BoltzmannSigmoidAcceptance,
+    "metropolis": MetropolisAcceptance,
+    "greedy": GreedyAcceptance,
+}
+
 _SETTINGS = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -126,98 +138,149 @@ def _result_key(result):
 
 
 # --------------------------------------------------------------------------- #
-# Single-chain equivalence: array walk vs kernel walk vs reference
+# Single-chain equivalence: array walk vs reference
 # --------------------------------------------------------------------------- #
 
 
-class TestSingleChainEquivalence:
-    def test_default_walk_is_array(self):
-        """The golden suites run the default config, so they pin this walk."""
-        assert SAConfig().walk == "array"
+def _walk_inputs(packet, machine, initial_mapping="hlf", acceptance="sigmoid"):
+    """Kernel, kernel-backed problem and annealer of one packet."""
+    cfg = SAConfig(
+        seed=0, initial_mapping=initial_mapping, acceptance=_ACCEPTANCE[acceptance]()
+    )
+    kernel = PacketCostFunction(packet, machine).kernel
+    problem = PacketMappingProblem(
+        kernel.index_packet(), kernel, initial_mapping=initial_mapping
+    )
+    return kernel, problem, PacketAnnealer(cfg)._build_annealer(packet)
 
+
+class TestSingleChainEquivalence:
     @given(
         n_ready=st.integers(1, 24),
         n_idle=st.integers(1, 8),
         seed=st.integers(0, 10_000),
         machine_kind=st.sampled_from(sorted(_MACHINES)),
         comm_off=st.booleans(),
+        acceptance=st.sampled_from(sorted(_ACCEPTANCE)),
     )
     @_SETTINGS
-    def test_all_three_tiers_commit_identical_walks(
-        self, n_ready, n_idle, seed, machine_kind, comm_off
+    def test_both_tiers_commit_identical_walks(
+        self, n_ready, n_idle, seed, machine_kind, comm_off, acceptance
     ):
         packet = _make_packet(n_ready, n_idle, seed)
         machine = _MACHINES[machine_kind](seed)
         comm_model = ZeroCommModel() if comm_off else LinearCommModel()
-        outcomes = [
+        rule = _ACCEPTANCE[acceptance]
+        array, reference = [
             PacketAnnealer(cfg).anneal(packet, machine, comm_model=comm_model, rng=seed)
             for cfg in (
-                SAConfig(seed=0),  # array (default)
-                SAConfig(seed=0, walk="kernel"),
-                SAConfig(seed=0, compiled=False),
+                SAConfig(seed=0, acceptance=rule()),
+                SAConfig(seed=0, acceptance=rule(), compiled=False),
             )
         ]
-        assert _outcome_key(outcomes[0]) == _outcome_key(outcomes[1])
-        assert _outcome_key(outcomes[0]) == _outcome_key(outcomes[2])
+        assert _outcome_key(array) == _outcome_key(reference)
 
+    @pytest.mark.parametrize("acceptance", sorted(_ACCEPTANCE))
     @pytest.mark.parametrize("machine_kind", sorted(_MACHINES))
     @pytest.mark.parametrize("initial_mapping", ["hlf", "random", "empty"])
     def test_walk_level_results_identical_including_order(
-        self, machine_kind, initial_mapping
+        self, machine_kind, initial_mapping, acceptance
     ):
-        """anneal_array vs _anneal_indexed: full AnnealingResult equality,
-        including the dict-insertion order of the committed mappings (which
-        the drop-victim draw and the resync sums depend on)."""
+        """anneal_array vs Annealer.run on the same kernel-backed problem:
+        full AnnealingResult equality, including the dict-insertion order of
+        the committed mappings (which the drop-victim draw and the resync
+        sums depend on)."""
         for seed in range(6):
             packet = _make_packet(12 + seed, 3 + seed % 5, seed)
-            machine = _MACHINES[machine_kind](seed)
-            cfg = SAConfig(seed=0, initial_mapping=initial_mapping)
-            kernel = PacketCostFunction(packet, machine).kernel
-            problem = PacketMappingProblem(
-                kernel.index_packet(), kernel, initial_mapping=initial_mapping
+            kernel, problem, annealer = _walk_inputs(
+                packet, _MACHINES[machine_kind](seed), initial_mapping, acceptance
             )
-            annealer = PacketAnnealer(cfg)._build_annealer(packet)
             res_a = anneal_array(kernel, problem, annealer, np.random.default_rng(seed))
-            res_k = _anneal_indexed(kernel, problem, annealer, np.random.default_rng(seed))
-            assert _result_key(res_a) == _result_key(res_k)
+            res_r = annealer.run(problem, seed=np.random.default_rng(seed))
+            assert _result_key(res_a) == _result_key(res_r)
 
-    def test_degenerate_packets(self, hypercube8):
+    @pytest.mark.parametrize("acceptance", sorted(_ACCEPTANCE))
+    def test_pending_half_word_is_consumed_first(self, hypercube8, acceptance):
+        """A bounded draw made on the run generator before the walk leaves
+        a buffered 32-bit half-word in its state; the array walk must use it
+        for its first bounded draw, as the generator's own integers() does."""
+        for seed in range(6):
+            packet = _make_packet(10 + seed, 2 + seed % 4, seed)
+            kernel, problem, annealer = _walk_inputs(
+                packet, hypercube8, acceptance=acceptance
+            )
+            runs = []
+            for _ in range(2):
+                rng = np.random.default_rng(seed)
+                rng.integers(0, 3)
+                assert rng.bit_generator.state["has_uint32"]
+                runs.append(rng)
+            res_a = anneal_array(kernel, problem, annealer, runs[0])
+            res_r = annealer.run(problem, seed=runs[1])
+            assert _result_key(res_a) == _result_key(res_r)
+
+    @pytest.mark.parametrize("acceptance", sorted(_ACCEPTANCE))
+    def test_degenerate_packets(self, hypercube8, acceptance):
+        rule = _ACCEPTANCE[acceptance]
         for n_ready, n_idle in [(1, 1), (1, 8), (8, 1), (2, 2)]:
             packet = _make_packet(n_ready, n_idle, 3)
-            a = PacketAnnealer(SAConfig(seed=0)).anneal(packet, hypercube8, rng=7)
-            k = PacketAnnealer(SAConfig(seed=0, walk="kernel")).anneal(
+            a = PacketAnnealer(SAConfig(seed=0, acceptance=rule())).anneal(
                 packet, hypercube8, rng=7
             )
-            assert _outcome_key(a) == _outcome_key(k)
+            r = PacketAnnealer(
+                SAConfig(seed=0, acceptance=rule(), compiled=False)
+            ).anneal(packet, hypercube8, rng=7)
+            assert _outcome_key(a) == _outcome_key(r)
 
-    def test_non_sigmoid_acceptance_falls_back_to_kernel_walk(self, hypercube8):
-        """The array walk requires the sigmoid rule; Metropolis configs must
-        still work (via the kernel walk) and match the reference."""
-        from repro.annealing.acceptance import MetropolisAcceptance
+    @pytest.mark.parametrize("acceptance", ["metropolis", "greedy"])
+    @pytest.mark.parametrize("mode", ["single", "replicas", "portfolio"])
+    def test_every_rule_runs_the_array_walk(
+        self, hypercube8, monkeypatch, acceptance, mode
+    ):
+        """Non-sigmoid rules take the compiled walk in every mode, and the
+        single-chain and replica runs match the reference path bit for bit
+        (portfolio lanes replay in tests/test_portfolio.py)."""
+        from repro.core import array_annealer
 
+        calls = []
+        real = array_annealer._array_walk
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(array_annealer, "_array_walk", spy)
+        knob = {"single": {}, "replicas": {"replicas": 4}, "portfolio": {"portfolio": 4}}
+        cfg = SAConfig(seed=0, acceptance=_ACCEPTANCE[acceptance](), **knob[mode])
         packet = _make_packet(10, 4, 0)
-        fast = PacketAnnealer(SAConfig(seed=0, acceptance=MetropolisAcceptance()))
-        slow = PacketAnnealer(
-            SAConfig(seed=0, acceptance=MetropolisAcceptance(), compiled=False)
-        )
-        assert _outcome_key(fast.anneal(packet, hypercube8, rng=5)) == _outcome_key(
-            slow.anneal(packet, hypercube8, rng=5)
-        )
+        outcome = PacketAnnealer(cfg).anneal(packet, hypercube8, rng=5)
+        assert len(calls) == (1 if mode == "single" else 4)
+        if mode != "portfolio":
+            reference = PacketAnnealer(replace(cfg, compiled=False)).anneal(
+                packet, hypercube8, rng=5
+            )
+            assert _outcome_key(outcome) == _outcome_key(reference)
+            assert outcome.best_replica == reference.best_replica
 
-    def test_anneal_array_rejects_non_sigmoid(self, hypercube8):
-        from repro.annealing.acceptance import GreedyAcceptance
+    def test_negative_temperature_raises_in_both_tiers(self, hypercube8):
+        """The inlined sigmoid defers out-of-range temperatures to the rule."""
+        from repro.annealing.cooling import CoolingSchedule
 
-        packet = _make_packet(4, 2, 0)
-        kernel = PacketCostFunction(packet, hypercube8).kernel
-        problem = PacketMappingProblem(kernel.index_packet(), kernel)
-        annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
-        annealer.acceptance = GreedyAcceptance()
-        with pytest.raises(ValueError, match="Sigmoid"):
+        class Negative(CoolingSchedule):
+            def temperature(self, k, initial_temperature):
+                return -1.0
+
+        packet = _make_packet(6, 3, 0)
+        kernel, problem, annealer = _walk_inputs(packet, hypercube8)
+        annealer.cooling = Negative()
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
             anneal_array(kernel, problem, annealer, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            annealer.run(problem, seed=np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------------- #
-# Batched lock-step engine
+# Multi-start replicas
 # --------------------------------------------------------------------------- #
 
 
@@ -233,26 +296,28 @@ def _prepped_run_rngs(problem, parent_seed: int, n: int):
 
 
 class TestBatchedReplicas:
+    @pytest.mark.parametrize("acceptance", ["sigmoid", "metropolis"])
     @pytest.mark.parametrize("machine_kind", sorted(_MACHINES))
     @pytest.mark.parametrize("n_replicas", [1, 3, 8])
-    def test_batched_equals_scalar_replicas(self, machine_kind, n_replicas):
-        """The core contract: lane b of a batched run is bit-identical to a
-        scalar single-chain walk on child stream b (B=1 included)."""
+    def test_batched_equals_scalar_replicas(self, machine_kind, n_replicas, acceptance):
+        """The core contract: replica b is bit-identical to a single-chain
+        anneal_array walk on child stream b (B=1 included)."""
         for seed in range(4):
             packet = _make_packet(10 + 3 * seed, 2 + seed, seed)
-            machine = _MACHINES[machine_kind](seed)
-            kernel = PacketCostFunction(packet, machine).kernel
-            problem = PacketMappingProblem(kernel.index_packet(), kernel)
-            annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+            kernel, problem, annealer = _walk_inputs(
+                packet, _MACHINES[machine_kind](seed), acceptance=acceptance
+            )
             batched, trajs = anneal_replicas_batched(
                 kernel, problem, annealer, _prepped_run_rngs(problem, seed, n_replicas)
             )
-            scalar, _ = anneal_replicas_scalar(
-                kernel, problem, annealer, _prepped_run_rngs(problem, seed, n_replicas)
-            )
+            scalar = [
+                anneal_array(kernel, problem, annealer, rng)
+                for rng in _prepped_run_rngs(problem, seed, n_replicas)
+            ]
             assert [_result_key(r) for r in batched] == [_result_key(r) for r in scalar]
             # One (temperature, cost) sample per executed temperature step.
             assert [len(t) for t in trajs] == [r.n_iterations for r in batched]
+            assert [t[-1][1] for t in trajs] == [r.final_cost for r in batched]
 
     def test_batched_outcome_deterministic(self, hypercube8):
         packet = _make_packet(14, 5, 1)
@@ -306,9 +371,9 @@ class TestBatchedReplicas:
         assert outcome.best_cost == min(s.best_cost for s in outcome.replica_stats)
 
     def test_reference_path_replicas_match_compiled_winner_selection(self, hypercube8):
-        """compiled=False with replicas runs scalar chains per child; the
+        """compiled=False with replicas runs full anneals per child; the
         per-replica best costs (and hence the winner) must match the compiled
-        batched run on the same packet rng."""
+        replicas on the same packet rng."""
         packet = _make_packet(9, 3, 5)
         fast = PacketAnnealer(SAConfig(seed=0, replicas=4)).anneal(
             packet, hypercube8, rng=21
@@ -496,11 +561,6 @@ class TestSAFastPath:
 
 
 class TestConfigValidation:
-    def test_walk_choices(self):
-        SAConfig(walk="kernel")
-        with pytest.raises(ConfigurationError, match="walk"):
-            SAConfig(walk="turbo")
-
     def test_replicas_positive(self):
         SAConfig(replicas=3)
         with pytest.raises(ConfigurationError, match="replicas"):

@@ -19,13 +19,15 @@ The portfolio's contract, tested bottom-up:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.annealing.annealer import Annealer
-from repro.annealing.acceptance import MetropolisAcceptance
+from repro.annealing.acceptance import GreedyAcceptance, MetropolisAcceptance
 from repro.annealing.cooling import GeometricCooling, LinearCooling
 from repro.annealing.portfolio import (
     DEFAULT_LANE_AXES,
@@ -75,10 +77,12 @@ def _make_packet(n_ready: int, n_idle: int, seed: int, n_procs: int = 6):
 
 
 def _portfolio_outcome(lanes: int, packet_seed: int = 11, rng_seed: int = 123,
-                       seed_assignments=None):
+                       seed_assignments=None, acceptance=None):
     packet = _make_packet(10, 5, packet_seed)
     machine = Machine.bus(6)
     cfg = SAConfig.paper_defaults(seed=5).with_portfolio(lanes)
+    if acceptance is not None:
+        cfg = replace(cfg, acceptance=acceptance)
     annealer = PacketAnnealer(cfg)
     cost_fn = PacketCostFunction(
         packet, machine, comm_model=LinearCommModel(), compiled=True
@@ -140,15 +144,9 @@ class TestPortfolioConfig:
         with pytest.raises(ConfigurationError):
             SAConfig(portfolio=4, replicas=8)
 
-    def test_saconfig_rejects_portfolio_off_the_vectorized_walk(self):
+    def test_saconfig_rejects_portfolio_on_the_reference_path(self):
         with pytest.raises(ConfigurationError):
             SAConfig(portfolio=4, compiled=False)
-        with pytest.raises(ConfigurationError):
-            SAConfig(portfolio=4, walk="kernel")
-
-    def test_saconfig_rejects_portfolio_with_other_acceptance(self):
-        with pytest.raises(ConfigurationError):
-            SAConfig(portfolio=4, acceptance=MetropolisAcceptance())
 
     def test_with_portfolio_resets_replicas(self):
         cfg = SAConfig(replicas=8).with_portfolio(4)
@@ -259,11 +257,14 @@ class TestSuccessiveHalving:
 # --------------------------------------------------------------------------- #
 
 class TestPortfolioEngine:
-    def test_every_lane_replays_as_a_scalar_walk(self):
+    @pytest.mark.parametrize(
+        "acceptance", [None, MetropolisAcceptance(), GreedyAcceptance()]
+    )
+    def test_every_lane_replays_as_a_scalar_walk(self, acceptance):
         """Culled lanes included: racing reschedules draws, never alters them."""
         seeds = {"etf": {"t0": 0, "t1": 1}}
         packet, kernel, cfg, annealer, outcome = _portfolio_outcome(
-            6, seed_assignments=seeds
+            6, seed_assignments=seeds, acceptance=acceptance
         )
         plan = annealer.build_lane_plan(kernel, seeds)
         children = split(as_rng(123), cfg.portfolio.lanes)

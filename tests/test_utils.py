@@ -108,75 +108,3 @@ class TestTabulate:
     def test_ragged_rows_are_padded(self):
         out = format_table([[1, 2, 3], [4]], headers=["a", "b", "c"])
         assert "4" in out
-
-
-class TestStreamDraws:
-    """StreamDraws must replay numpy Generator scalar draws bit for bit."""
-
-    def test_random_matches_generator(self):
-        from repro.utils.rng import StreamDraws
-
-        reference = np.random.default_rng(42)
-        draws = StreamDraws(np.random.default_rng(42))
-        for _ in range(500):
-            assert draws.random() == reference.random()
-
-    def test_integers_matches_generator(self):
-        from repro.utils.rng import StreamDraws
-
-        reference = np.random.default_rng(7)
-        draws = StreamDraws(np.random.default_rng(7))
-        for n in (2, 3, 5, 8, 15, 16, 31, 64, 200, 1):
-            for _ in range(100):
-                assert draws.integers(0, n) == int(reference.integers(0, n))
-
-    def test_interleaved_draws_match(self):
-        from repro.utils.rng import StreamDraws
-
-        reference = np.random.default_rng(123)
-        draws = StreamDraws(np.random.default_rng(123))
-        for k in range(1000):
-            if k % 3 == 0:
-                assert draws.random() == reference.random()
-            else:
-                n = (k % 17) + 1
-                assert draws.integers(0, n) == int(reference.integers(0, n))
-
-    def test_buffered_half_word_handoff(self):
-        from repro.utils.rng import StreamDraws
-
-        # A bounded draw on the generator before wrapping leaves a buffered
-        # 32-bit half in its state; StreamDraws must consume it first.
-        reference = np.random.default_rng(5)
-        wrapped = np.random.default_rng(5)
-        reference.integers(0, 10)
-        wrapped.integers(0, 10)
-        draws = StreamDraws(wrapped)
-        for _ in range(200):
-            assert draws.integers(0, 6) == int(reference.integers(0, 6))
-
-    def test_low_high_form(self):
-        from repro.utils.rng import StreamDraws
-
-        reference = np.random.default_rng(9)
-        draws = StreamDraws(np.random.default_rng(9))
-        for _ in range(200):
-            assert draws.integers(3, 12) == int(reference.integers(3, 12))
-
-    def test_trivial_ranges_consume_nothing(self):
-        from repro.utils.rng import StreamDraws
-
-        reference = np.random.default_rng(1)
-        draws = StreamDraws(np.random.default_rng(1))
-        assert draws.integers(0, 1) == 0
-        assert draws.integers(5, 6) == 5
-        assert draws.random() == reference.random()
-
-    def test_inverted_range_raises_like_numpy(self):
-        from repro.utils.rng import StreamDraws
-
-        draws = StreamDraws(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            draws.integers(5, 3)
-        with pytest.raises(ValueError):
-            draws.integers(0)
