@@ -10,9 +10,9 @@ selects the simulator model used for Table 2 ("latency" — the default the SA
 cost function assumes — or the contention-aware "contention" model).
 ``--hetero`` appends a heterogeneous-machines extension study (speed spreads
 {1x, 2x, 4x} on weighted ring/mesh/hypercube interconnects) that goes beyond
-the paper's identical-processor setup; ``--lanes B`` runs that sweep's cells
-as lock-step lanes of the batched engine (processes × lanes, results
-bit-identical).
+the paper's identical-processor setup; ``--lanes B`` groups that sweep's cells
+so its HLF/ETF cells run as lock-step lanes of the batched engine
+(processes × lanes, results bit-identical).
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def run_hetero_study(
 
     Runs HLF, ETF and SA over the 9-machine heterogeneous grid (speed spreads
     × weighted topologies) on *n_seeds* layered random graphs per machine and
-    returns the aggregate table.  *lanes* batches compatible cells through
-    the lock-step engine (processes × lanes, bit-identical results).
+    returns the aggregate table.  *lanes* groups compatible cells so the
+    lane router batches the HLF/ETF ones (processes × lanes, bit-identical
+    results).
     *timeout* and *retries* arm the supervisor's per-cell wall-clock limit and
     retry budget (see :mod:`repro.experiments.supervisor`).
     """
@@ -129,7 +130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         help=(
-            "lock-step lanes per batched-engine call in the --hetero sweep "
+            "cells per lane group in the --hetero sweep; HLF/ETF cells of a "
+            "group run as lock-step lanes of one batched-engine call "
             "(composes with --jobs as processes x lanes; results identical)"
         ),
     )

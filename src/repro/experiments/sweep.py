@@ -44,12 +44,14 @@ both and diffs the cells::
     python -m repro.experiments.sweep --fidelity contention --jobs 4 \
         --families dag200 --out contention.json
 
-``--lanes B`` batches up to B compatible cells as lock-step lanes of one
-batched-engine call per worker (``sim/batch_engine.py``), composing with
-``--jobs`` as processes × lanes — the grid becomes ``ceil(cells/lanes)``
-groups distributed over the pool.  Lanes change scheduling, never numbers:
+``--lanes B`` cuts the grid into groups of up to B compatible cells, one
+pool item each, composing with ``--jobs`` as processes × lanes — the grid
+becomes ``ceil(cells/lanes)`` groups distributed over the pool.  Inside a
+group, latency cells whose policy has a batched kernel (HLF, ETF, LPT) run
+as lock-step lanes of one batched-engine call (``sim/batch_engine.py``);
+contention cells and SA run solo.  Lanes change scheduling, never numbers:
 every lane is bit-identical to its solo fast-engine run.  SA ``--replicas``
-rows and ``--engine object`` sweeps stay solo::
+/ ``--portfolio`` rows and ``--engine object`` sweeps stay out of groups::
 
     python -m repro.experiments.sweep --families dag200 --seeds 64 \
         --jobs 4 --lanes 32 --out dag200.json
@@ -135,7 +137,7 @@ from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
 from repro.sim.compile import compile_scenario, scenario_cache_stats
 from repro.sim.engine import simulate_degraded
-from repro.sim.fast_engine import run_lanes
+from repro.sim.fast_engine import batched_lanes, run_lanes
 from repro.taskgraph import io as taskgraph_io
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.utils.chaos import FAULT_KINDS, ChaosConfig
@@ -152,6 +154,7 @@ __all__ = [
     "hetero_machine",
     "build_grid",
     "run_scenario",
+    "lane_eligible",
     "run_lane_group",
     "run_sweep",
     "parallel_map",
@@ -557,32 +560,50 @@ def _quarantine_solo(spec: dict, exc: Exception) -> dict:
     return row
 
 
+def lane_eligible(spec: dict) -> bool:
+    """Whether *spec* may join a lane group (:func:`run_lane_group`).
+
+    Replica fan-out and portfolio racing run solo (each such cell is
+    already an internal batch, and an anytime portfolio job's progress
+    stream must attribute to exactly one job), and ``fast=False`` pins the
+    reference object engine, which has no lane path.  Inside a group,
+    :func:`~repro.sim.fast_engine.run_lanes` decides which lanes run
+    batched.
+    """
+    return (
+        spec.get("replicas") is None
+        and spec.get("portfolio") is None
+        and spec.get("fast") is not False
+    )
+
+
 def run_lane_group(specs: List[dict]) -> List[dict]:
-    """Run a chunk of scenario specs as lanes of one batched-engine call.
+    """Run a chunk of scenario specs as the lanes of one lane group.
 
     The lane counterpart of :func:`run_scenario` (the pool worker behind
     ``--lanes``): every spec is compiled through the per-worker scenario
-    memo and the whole chunk is handed to
-    :func:`~repro.sim.fast_engine.run_lanes` as one lock-step group — each
-    lane bit-identical to the solo run :func:`run_scenario` would have
-    produced.
+    memo, and the lane router :func:`~repro.sim.fast_engine.run_lanes`
+    runs the lanes :func:`~repro.sim.fast_engine.batched_lanes` selects as
+    one lock-step batch and every other lane solo — each lane
+    bit-identical to the solo run :func:`run_scenario` would have
+    produced.  A batched row reports ``engine_used="batched"`` and an even
+    share of the batch's wall time; a solo row reports ``"fast"`` and its
+    own.  Both add the lane's own build time.
 
     Failures degrade with per-cell quarantine instead of taking down the
     group: a cell that fails to *build* (poisoned spec, compile error) is
     retried solo through :func:`_quarantine_solo` while the healthy lanes
-    still run batched; if the batched *run* itself fails, every lane is
-    quarantined solo.  Either way the triggering exception's type and
-    traceback land in the affected rows' ``lane_fallback`` field (aggregated
-    into ``meta.faults``), and a cell whose solo retry also fails carries
-    its own error row.  The group's wall time is split evenly across its
-    batched rows; per-lane attribution inside one batched call has no
-    meaning.
+    still run; if a *run* fails, every lane of that run (the whole batch,
+    or the one solo lane) is quarantined solo.  Either way the triggering
+    exception's type and traceback land in the affected rows'
+    ``lane_fallback`` field (aggregated into ``meta.faults``), and a cell
+    whose solo retry also fails carries its own error row.
     """
-    start = time.perf_counter()
     rows = [dict(spec) for spec in specs]
     lanes = []
-    built = []  # (row position, graph) per successfully compiled lane
+    built = []  # (row position, graph, build seconds) per compiled lane
     for pos, row in enumerate(rows):
+        start = time.perf_counter()
         cache_before = scenario_cache_stats()
         try:
             graph = _spec_graph(row)
@@ -608,22 +629,24 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
             cache_after["evictions"] - cache_before["evictions"]
         )
         lanes.append((scenario, policy))
-        built.append((pos, graph))
-    results = []
-    if lanes:
+        built.append((pos, graph, time.perf_counter() - start))
+    fidelity = specs[0].get("fidelity", "latency")
+    batched = batched_lanes(lanes, fidelity)
+    runs = [batched] if batched else []
+    runs += [[i] for i in range(len(lanes)) if i not in batched]
+    pid = os.getpid()
+    for run in runs:
+        start = time.perf_counter()
         try:
-            results = run_lanes(
-                lanes, fidelity=specs[0].get("fidelity", "latency")
-            )
+            results = run_lanes([lanes[i] for i in run], fidelity=fidelity)
         except Exception as exc:
-            # The whole batched call failed: quarantine every lane solo.
-            for pos, _graph in built:
+            for i in run:
+                pos = built[i][0]
                 rows[pos] = _quarantine_solo(specs[pos], exc)
-            built = []
-    if built:
-        per_lane_s = (time.perf_counter() - start) / len(rows)
-        pid = os.getpid()
-        for (pos, graph), result in zip(built, results):
+            continue
+        share_s = (time.perf_counter() - start) / len(run)
+        for i, result in zip(run, results):
+            pos, graph, build_s = built[i]
             rows[pos].update(
                 makespan=result.makespan,
                 speedup=result.speedup(),
@@ -633,11 +656,11 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
                 error=None,
                 error_type=None,
                 traceback=None,
-                engine_used="batched",
+                engine_used="batched" if run is batched else "fast",
                 engine_fallbacks=[],
                 lane_fallback=None,
                 attempts=1,
-                runtime_s=per_lane_s,
+                runtime_s=build_s + share_s,
                 worker_pid=pid,
             )
             if rows[pos].get("_fingerprint"):
@@ -845,14 +868,15 @@ def run_sweep(
     races the anytime heterogeneous-lane portfolio on the SA rows instead
     (``--portfolio``; mutually exclusive with replicas).
 
-    *lanes* batches up to that many cells as lock-step lanes of one
-    batched-engine call per worker (:func:`run_lane_group`), composing with
-    *jobs* as processes × lanes: the grid is cut into ``ceil(cells/lanes)``
-    groups and the pool distributes groups over workers.  The count is
-    capped at the cell count; SA replica rows and ``fast=False`` sweeps stay
-    solo (the batched engine is a fast-engine tier).  Lanes change how the
-    work is scheduled, never the numbers — every lane is bit-identical to
-    its solo run.
+    *lanes* groups up to that many cells into one pool item
+    (:func:`run_lane_group`), composing with *jobs* as processes × lanes:
+    the grid is cut into ``ceil(cells/lanes)`` groups and the pool
+    distributes groups over workers; inside a group the lane router batches
+    the latency cells whose policy has a batched kernel and runs the rest
+    solo.  The count is capped at the cell count; cells that fail
+    :func:`lane_eligible` (SA replica and portfolio rows, ``fast=False``
+    sweeps) stay out of groups.  Lanes change how the work is scheduled,
+    never the numbers — every lane is bit-identical to its solo run.
 
     Execution is supervised (:mod:`repro.experiments.supervisor`): *timeout*
     arms a per-item wall-clock budget (a hung worker is killed and its item
@@ -912,15 +936,12 @@ def run_sweep(
         }
     remaining = [spec for spec in grid if spec["_key"] not in restored_rows]
 
-    # Auto-cap at the cell count; only fast-engine-eligible cells (no SA
-    # replica fan-out, engine not pinned to the object path) ride lanes.
+    # Auto-cap at the cell count; only lane-eligible cells join groups.
     effective_lanes = max(1, min(lanes, len(grid)))
     lane_indices: List[int] = []
-    if effective_lanes > 1 and fast is not False:
+    if effective_lanes > 1:
         lane_indices = [
-            spec["_index"]
-            for spec in remaining
-            if spec["replicas"] is None and spec["portfolio"] is None
+            spec["_index"] for spec in remaining if lane_eligible(spec)
         ]
     items: List[object]
     spec_by_index = {spec["_index"]: spec for spec in remaining}
@@ -1141,10 +1162,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--lanes", type=int, default=1,
         help=(
-            "batch up to this many compatible cells as lock-step lanes of one "
-            "batched-engine call per worker (composes with --jobs as "
-            "processes x lanes; auto-capped at the cell count; SA --replicas "
-            "rows and --engine object sweeps stay solo)"
+            "group up to this many compatible cells per worker item; inside "
+            "a group, latency cells of HLF, ETF and LPT run as lock-step "
+            "lanes of one batched-engine call and the rest run solo "
+            "(composes with --jobs as processes x lanes; auto-capped at the "
+            "cell count; SA --replicas/--portfolio rows and --engine object "
+            "sweeps stay out of groups)"
         ),
     )
     parser.add_argument("--seeds", type=int, default=17, help="graph seeds per family")

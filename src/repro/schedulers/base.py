@@ -150,25 +150,24 @@ class SchedulingPolicy(ABC):
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Batched epoch assignment for the lock-step lane engine.
 
-        *epoch* is a :class:`~repro.sim.batch_engine.BatchEpoch` covering a
-        group of lanes that share this policy's configuration, and
-        *policies* the per-lane policy instances aligned with
+        Only latency-fidelity lanes reach this kernel: the lane router
+        (:func:`~repro.sim.fast_engine.run_lanes`) runs contention lanes
+        solo.  *epoch* is a :class:`~repro.sim.batch_engine.BatchEpoch`
+        covering a group of lanes that share this policy's configuration,
+        and *policies* the per-lane policy instances aligned with
         ``epoch.lanes`` (``self`` is ``policies[0]``; per-lane stochastic
         state such as RNG streams must be drawn from the matching
         instance).  Returns three equal-length arrays ``(lanes, tasks,
         procs)`` of global lane indices and lane-local task / processor
-        indices — entries of the same lane **must** appear in the order the
-        policy's solo path would place them (contention fidelity replays
-        placements in that order), while entries of different lanes may
-        interleave freely.
+        indices, in any order.
 
         The contract extends :meth:`fast_assign` lane-wise: for every lane
         the triples must reproduce exactly the assignment (and consume
         exactly the RNG draws) the solo path would produce.  Returning
-        ``None`` (the default) declines the whole group for this epoch; the
-        engine then serves each lane through its :meth:`fast_assign` /
-        reference fallback, so a kernel must decline *before* consuming any
-        stochastic state.
+        ``None`` declines the whole group for this epoch; the engine then
+        serves each lane through its :meth:`fast_assign`, so a kernel must
+        decline *before* consuming any stochastic state.  A policy class
+        that does not override this method never enters the batched engine.
         """
         return None
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-import numpy as np
-
 from repro.schedulers.base import PacketContext, SchedulingPolicy
 
 __all__ = ["FIFOScheduler"]
@@ -34,16 +32,3 @@ class FIFOScheduler(SchedulingPolicy):
         """Index-space FIFO: ready indices are already in insertion order."""
         k = min(packet.n_idle, packet.n_ready)
         return dict(zip(packet.ready[:k], packet.idle[:k]))
-
-    def batch_assign(self, epoch, policies):
-        """Lane-batched FIFO: the padded ready/idle rows *are* the selection.
-
-        Both padded matrices already hold increasing indices, so the kernel
-        is one truncation mask — lane *b*'s first ``min(n_ready, n_idle)``
-        pairs, in index order, exactly the solo zip.
-        """
-        ready_pad, _, rcounts = epoch.ready_padded()
-        idle_pad, _, icounts = epoch.idle_padded()
-        k = np.minimum(rcounts, icounts)
-        li, pos = np.nonzero(np.arange(ready_pad.shape[1])[None, :] < k[:, None])
-        return epoch.lanes[li], ready_pad[li, pos], idle_pad[li, pos]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-import numpy as np
-
 from repro.schedulers.base import PacketContext, SchedulingPolicy
 from repro.utils.rng import SeedLike, as_rng
 
@@ -56,35 +54,3 @@ class RandomScheduler(SchedulingPolicy):
             packet.ready[int(ti)]: packet.idle[int(pi)]
             for ti, pi in zip(task_idx, proc_idx)
         }
-
-    def batch_assign(self, epoch, policies):
-        """Lane-batched random placement.
-
-        Every lane's two permutations come from that lane's own RNG — the
-        stream-exact solo draws — so only the draw itself is a per-lane
-        loop; the gathers stay on the padded matrices.  ``shuffle`` over an
-        ``arange`` is ``permutation`` stream-for-stream, and a length-0/1
-        shuffle consumes no stream state, so those draws are skipped.
-        """
-        lanes = epoch.lanes
-        ready_pad, _, rcounts = epoch.ready_padded()
-        idle_pad, _, icounts = epoch.idle_padded()
-        out_l, out_t, out_p = [], [], []
-        for row, b in enumerate(lanes.tolist()):
-            n_ready, n_idle = int(rcounts[row]), int(icounts[row])
-            k = n_ready if n_ready < n_idle else n_idle
-            rng = policies[row]._rng
-            task_idx = np.arange(n_ready, dtype=np.intp)
-            if n_ready > 1:
-                rng.shuffle(task_idx)
-            proc_idx = np.arange(n_idle, dtype=np.intp)
-            if n_idle > 1:
-                rng.shuffle(proc_idx)
-            out_l.append(np.full(k, b, dtype=np.intp))
-            out_t.append(ready_pad[row, task_idx[:k]])
-            out_p.append(idle_pad[row, proc_idx[:k]])
-        return (
-            np.concatenate(out_l),
-            np.concatenate(out_t),
-            np.concatenate(out_p),
-        )

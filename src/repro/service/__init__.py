@@ -19,8 +19,10 @@ Three mechanisms make the server fast where one-process-per-request is slow:
   server's ``stats`` op proves the hit rate climbs as the cache warms.
 * **Request coalescing** — compatible concurrent jobs queued for the same
   worker are flushed (on batch size or a small time window) as **one**
-  batched B-lane engine call (:func:`repro.experiments.sweep.run_lane_group`),
-  so ten concurrent SA jobs share one lane-engine call, not ten solo runs.
+  work item (:func:`repro.experiments.sweep.run_lane_group`): one pipe
+  round trip for the whole group, with the HLF/ETF/LPT latency jobs
+  sharing one batched B-lane engine call and SA or contention jobs running
+  solo inside the item.
 
 Workers that die mid-job are respawned and their jobs retried transparently;
 malformed requests get structured errors from the :mod:`repro.exceptions`

@@ -9,10 +9,11 @@ server's event loop so the routing policy is unit-testable on its own:
   scenario land on the worker whose compiled-scenario memo
   (:mod:`repro.sim.compile`) already holds it.
 * :func:`lane_eligible` / :func:`coalesce_key` — whether and with whom a
-  job may share a batched B-lane engine call
-  (:func:`repro.experiments.sweep.run_lane_group`).  The grouping rule
-  matches the sweep's lane planner: no replica fan-out, engine not pinned
-  off the fast path, and one fidelity per batched call.
+  job may share one lane-group item
+  (:func:`repro.experiments.sweep.run_lane_group`).  The eligibility rule
+  is the sweep's own (:func:`repro.experiments.sweep.lane_eligible`: no
+  replica or portfolio fan-out, engine not pinned off the fast path), and
+  a group holds one fidelity.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Tuple
+
+from repro.experiments.sweep import lane_eligible
 
 __all__ = ["affinity_key", "shard", "lane_eligible", "coalesce_key"]
 
@@ -47,28 +50,11 @@ def shard(spec: dict, n_workers: int) -> int:
     return int(affinity_key(spec), 16) % n_workers
 
 
-def lane_eligible(spec: dict) -> bool:
-    """Whether this job may ride a batched lane group.
-
-    Mirrors the sweep's lane planner: replica fan-out and portfolio racing
-    run solo (each such cell is already an internal batch, and an anytime
-    portfolio job's progress stream must attribute to exactly one job), and
-    ``fast=False`` pins the reference object engine which has no lane path.
-    SA jobs with neither fan-out are eligible — coalescing them is the
-    service's main win, since annealing dominates per-job cost.
-    """
-    return (
-        spec.get("replicas") is None
-        and spec.get("portfolio") is None
-        and spec.get("fast") is not False
-    )
-
-
 def coalesce_key(spec: dict) -> Tuple[str, ...]:
-    """Jobs with equal keys may share one batched engine call.
+    """Jobs with equal keys may share one lane-group item.
 
     One fidelity per :func:`~repro.sim.fast_engine.run_lanes` call is the
-    engine's contract; everything else (policy, machine, graph, seeds) may
+    router's contract; everything else (policy, machine, graph, seeds) may
     mix freely within a group, exactly as sweep lane chunks do.
     """
     return ("lanes", spec.get("fidelity", "latency"))

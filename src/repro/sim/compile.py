@@ -542,8 +542,8 @@ class StackedScenarios:
       matches the solo engine's zero-model arithmetic exactly).
 
     The per-lane :class:`CompiledScenario` objects stay reachable through
-    ``scenarios`` — the batch engine reads their contention tables, task ids
-    and graph/machine metadata for per-lane work and result assembly.
+    ``scenarios`` — the batch engine reads their task ids and graph/machine
+    metadata for per-lane work and result assembly.
     """
 
     scenarios: List["CompiledScenario"]

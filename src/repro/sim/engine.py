@@ -54,7 +54,7 @@ from repro.machine.machine import Machine
 from repro.schedulers.base import PacketContext, SchedulingPolicy, validate_assignment
 from repro.sim.compile import compile_scenario, supports_comm_model
 from repro.sim.events import EventQueue, TASK_FINISH
-from repro.sim.fast_engine import run_compiled
+from repro.sim.fast_engine import FIDELITIES, run_compiled
 from repro.sim.message import MessageRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ExecutionTrace, OverheadRecord, TaskRecord
@@ -64,8 +64,6 @@ __all__ = ["Simulator", "simulate", "simulate_degraded"]
 
 TaskId = Hashable
 ProcId = int
-
-_FIDELITIES = ("latency", "contention")
 
 
 class Simulator:
@@ -124,8 +122,8 @@ class Simulator:
         replicas: Optional[int] = None,
         portfolio=None,
     ) -> None:
-        if fidelity not in _FIDELITIES:
-            raise SimulationError(f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}")
+        if fidelity not in FIDELITIES:
+            raise SimulationError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
         if replicas is not None and portfolio is not None:
             raise SimulationError(
                 "replicas and portfolio are mutually exclusive "

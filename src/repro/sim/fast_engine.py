@@ -60,12 +60,15 @@ from repro.sim.message import MessageRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ExecutionTrace, OverheadRecord, TaskRecord
 
-__all__ = ["run_compiled", "run_lanes"]
+__all__ = ["FIDELITIES", "batched_lanes", "run_compiled", "run_lanes"]
 
 TaskId = Hashable
 ProcId = int
 
 _LOGGER = logging.getLogger(__name__)
+
+#: The simulator fidelities every engine implements.
+FIDELITIES = ("latency", "contention")
 
 
 def _validate_fast_assignment(
@@ -103,28 +106,55 @@ def _validate_fast_assignment(
         seen.add(proc)
 
 
+def batched_lanes(lanes: List[tuple], fidelity: str) -> List[int]:
+    """Positions of the *lanes* :func:`run_lanes` runs as one lock-step batch.
+
+    A lane is batched when the run is at latency fidelity and its policy
+    class defines a batched kernel
+    (:meth:`~repro.schedulers.base.SchedulingPolicy.batch_assign`), and
+    only if at least two lanes qualify — a lone kernel lane has nothing to
+    amortize.  Every other lane runs solo: contention lanes, SA and other
+    kernel-less policies measure faster through :func:`run_compiled`.
+    """
+    if fidelity != "latency":
+        return []
+    default = SchedulingPolicy.batch_assign
+    ids = [
+        i for i, (_, policy) in enumerate(lanes)
+        if type(policy).batch_assign is not default
+    ]
+    return ids if len(ids) >= 2 else []
+
+
 def run_lanes(
     lanes: List[tuple],
     fidelity: str = "latency",
 ) -> List[SimulationResult]:
-    """Run a group of ``(scenario, policy)`` lanes, batched when it pays.
+    """Run a group of ``(scenario, policy)`` lanes, batched where it pays.
 
-    The lane dispatcher between the two compiled engines: a single lane has
-    nothing to amortize and runs through :func:`run_compiled` (the solo
-    fallback — also the reference each batched lane is bit-identical to);
-    larger groups go to the lock-step batched engine
-    (:func:`~repro.sim.batch_engine.run_batch`).  As with
-    :func:`run_compiled`, the caller is responsible for ``policy.reset()``
-    and graph validation.
+    The one lane router between the two compiled engines: the lanes
+    :func:`batched_lanes` selects go to the lock-step batched engine
+    (:func:`~repro.sim.batch_engine.run_batch`) as one call, and every other
+    lane runs solo through :func:`run_compiled` — also the reference each
+    batched lane is bit-identical to.  Results come back in input order.
+    As with :func:`run_compiled`, the caller is responsible for
+    ``policy.reset()`` and graph validation.
     """
-    if not lanes:
-        return []
-    if len(lanes) == 1:
-        scenario, policy = lanes[0]
-        return [run_compiled(scenario, policy, fidelity=fidelity)]
-    from repro.sim.batch_engine import run_batch
+    if fidelity not in FIDELITIES:
+        raise SimulationError(
+            f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
+        )
+    results: List[Optional[SimulationResult]] = [None] * len(lanes)
+    batched = batched_lanes(lanes, fidelity)
+    if batched:
+        from repro.sim.batch_engine import run_batch
 
-    return run_batch(lanes, fidelity=fidelity)
+        for i, result in zip(batched, run_batch([lanes[i] for i in batched])):
+            results[i] = result
+    for i, (scenario, policy) in enumerate(lanes):
+        if results[i] is None:
+            results[i] = run_compiled(scenario, policy, fidelity=fidelity)
+    return results
 
 
 def run_compiled(

@@ -1,20 +1,24 @@
-"""The batched lane engine: lane-wise bit-identity with the solo fast engine.
+"""The lane router and the batched lane engine: bit-identity with solo runs.
 
-The batch engine's contract is that every lane of a lock-step run is
+The contract is that every lane of a :func:`run_lanes` group — whether the
+router batches it through :func:`run_batch` or runs it solo — is
 **bit-identical** to a solo :func:`run_compiled` run of the same cell; these
-tests pin it four ways:
+tests pin it five ways:
 
-* differentially under hypothesis — batches of 2-5 mixed lanes (random
+* differentially under hypothesis — groups of 2-5 mixed lanes (random
   graphs and workload-zoo families × homogeneous and heterogeneous machines
   × every kernelized policy × comm on/off), raw fingerprint equality per
   lane at both fidelities;
 * structurally — lane-count dispatch (B ∈ {1, 3, 8}), ragged lane shapes,
-  mixed-policy batches, SA lanes, and the per-lane materialized-context
-  fallback (``n_fallback_epochs`` parity with the solo engine);
-* defensively — the batched kernel validator rejects malformed
-  ``batch_assign`` triples with :class:`SchedulingError`;
-* at the API surface — :func:`simulate_batch` cell ordering, the bad-fidelity
-  guard and the unfoldable-comm-model solo fallback.
+  mixed-policy groups, SA lanes and context-only policies (``n_fallback_epochs``
+  parity with the solo engine);
+* at the router — which lanes reach :func:`run_batch` (kernel lanes at
+  latency fidelity, at least two of them) and in what order results return;
+* defensively — :func:`run_batch` rejects kernel-less lanes with
+  :class:`SimulationError` and malformed ``batch_assign`` triples with
+  :class:`SchedulingError`;
+* at the API surface — empty groups, the bad-fidelity guard, and
+  :func:`simulate`'s compile-or-object dispatch.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
-from repro.sim.batch_engine import run_batch, simulate_batch
+from repro.sim import batch_engine
+from repro.sim.batch_engine import run_batch
 from repro.sim.compile import compile_scenario
 from repro.sim.engine import simulate
-from repro.sim.fast_engine import run_compiled, run_lanes
+from repro.sim.fast_engine import batched_lanes, run_compiled, run_lanes
 from repro.taskgraph.families import FAMILIES
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.taskgraph.graph import TaskGraph
@@ -79,7 +84,7 @@ def _compile_cell(graph, machine, comm_model):
 
 
 def _solo_and_batched(cells, fidelity="latency"):
-    """Run *cells* = [(scenario, policy factory)] both ways; return results."""
+    """Run *cells* = [(scenario, policy factory)] solo and through the router."""
     solo = []
     for scenario, factory in cells:
         policy = factory()
@@ -90,7 +95,7 @@ def _solo_and_batched(cells, fidelity="latency"):
         policy = factory()
         policy.reset()
         lanes.append((scenario, policy))
-    return solo, run_batch(lanes, fidelity=fidelity)
+    return solo, run_lanes(lanes, fidelity=fidelity)
 
 
 def _assert_lanes_identical(solo, batched):
@@ -235,7 +240,7 @@ class TestLaneStructure:
         assert batched[0].makespan == 0.0
 
     def test_mixed_policies_in_one_batch(self):
-        """Different kernel groups (and fallbacks) coexist in one run."""
+        """Different kernel groups and solo policies coexist in one group."""
         comm = LinearCommModel()
         graph = random_dag(25, edge_probability=0.15, mean_comm=5.0, seed=3)
         machine = Machine.hypercube(3)
@@ -263,7 +268,7 @@ class TestLaneStructure:
 
 
 # --------------------------------------------------------------------------- #
-# Per-lane materialized-context fallback
+# The lane router: which lanes reach the batched engine
 # --------------------------------------------------------------------------- #
 
 
@@ -276,6 +281,76 @@ class _CtxOnlyPolicy(SchedulingPolicy):
         if not ctx.ready_tasks or not ctx.idle_processors:
             return {}
         return {ctx.ready_tasks[0]: ctx.idle_processors[0]}
+
+
+_KERNEL_FACTORIES = [
+    lambda: ETFScheduler(),
+    lambda: HLFScheduler(seed=1),
+    lambda: HLFScheduler(placement="min_comm"),
+    lambda: LPTScheduler(),
+]
+_SOLO_FACTORIES = [
+    lambda: SAScheduler(SAConfig.paper_defaults(seed=2)),
+    lambda: _CtxOnlyPolicy(),
+]
+
+
+def _router_group(kernel_factories):
+    """Interleaved kernel and kernel-less lanes over two scenarios."""
+    comm = LinearCommModel()
+    scenarios = [
+        _compile_cell(
+            random_dag(20, edge_probability=0.15, mean_comm=5.0, seed=3),
+            Machine.hypercube(3), comm,
+        ),
+        _compile_cell(
+            layered_random(n_layers=4, width=4, edge_probability=0.4,
+                           mean_comm=6.0, seed=8),
+            Machine.ring(5), comm,
+        ),
+    ]
+    factories = []
+    for i in range(max(len(kernel_factories), len(_SOLO_FACTORIES))):
+        factories += kernel_factories[i : i + 1] + _SOLO_FACTORIES[i : i + 1]
+    return [(scenarios[i % 2], f) for i, f in enumerate(factories)]
+
+
+class TestRouter:
+    @pytest.mark.parametrize("fidelity", ["latency", "contention"])
+    @pytest.mark.parametrize("n_kernel", [len(_KERNEL_FACTORIES), 1])
+    def test_mixed_group_matches_solo_in_input_order(
+        self, monkeypatch, fidelity, n_kernel
+    ):
+        """Kernel, SA and context-only lanes (or a lone kernel lane) route
+        to the right engine and come back solo-identical, in input order."""
+        calls = []
+        real_run_batch = batch_engine.run_batch
+
+        def spy(lanes):
+            calls.append([type(policy) for _, policy in lanes])
+            return real_run_batch(lanes)
+
+        monkeypatch.setattr(batch_engine, "run_batch", spy)
+        cells = _router_group(_KERNEL_FACTORIES[:n_kernel])
+        solo, routed = _solo_and_batched(cells, fidelity=fidelity)
+        _assert_lanes_identical(solo, routed)
+        for (scenario, factory), result in zip(cells, routed):
+            assert result.graph_name == scenario.graph.name
+            assert result.policy_name == factory().name
+        kernel_types = [
+            type(factory()) for factory in _KERNEL_FACTORIES[:n_kernel]
+        ]
+        if fidelity == "latency" and n_kernel >= 2:
+            assert calls == [kernel_types]
+        else:
+            assert calls == []
+
+    def test_batched_lanes_partition(self):
+        lanes = [(None, f()) for f in _KERNEL_FACTORIES + _SOLO_FACTORIES]
+        assert batched_lanes(lanes, "latency") == [0, 1, 2, 3]
+        assert batched_lanes(lanes, "contention") == []
+        assert batched_lanes(lanes[3:], "latency") == []
+        assert batched_lanes([(None, FIFOScheduler())] * 2, "latency") == []
 
 
 class TestFallback:
@@ -336,6 +411,14 @@ def _two_roots_graph():
 
 
 class TestKernelValidation:
+    def test_kernel_less_lane_rejected(self):
+        scenario = _compile_cell(
+            _two_roots_graph(), Machine.hypercube(2), LinearCommModel()
+        )
+        lanes = [(scenario, ETFScheduler()), (scenario, _CtxOnlyPolicy())]
+        with pytest.raises(SimulationError, match="no batched kernel"):
+            run_batch(lanes)
+
     @pytest.mark.parametrize("mode,match", [
         ("task-dup", "task assigned more than once"),
         ("proc-dup", "processor assigned more than one task"),
@@ -350,7 +433,7 @@ class TestKernelValidation:
 
 
 # --------------------------------------------------------------------------- #
-# simulate_batch API surface
+# API surface
 # --------------------------------------------------------------------------- #
 
 
@@ -359,12 +442,22 @@ class _CustomComm(CommunicationModel):
         return 1.0 if src_proc != dst_proc else 0.0
 
 
-class TestSimulateBatch:
+def _compiled_lanes(cells, comm_model):
+    lanes = []
+    for graph, machine, policy in cells:
+        policy.reset()
+        lanes.append((_compile_cell(graph, machine, comm_model), policy))
+    return lanes
+
+
+class TestSurface:
     def test_results_align_with_cells(self):
         graphs = [random_dag(8 + 6 * i, edge_probability=0.2, seed=i) for i in range(4)]
         machine = Machine.hypercube(3)
-        cells = [(g, machine, HLFScheduler(seed=0)) for g in graphs]
-        results = simulate_batch(cells)
+        lanes = _compiled_lanes(
+            [(g, machine, HLFScheduler(seed=0)) for g in graphs], LinearCommModel()
+        )
+        results = run_lanes(lanes)
         assert len(results) == 4
         for graph, result in zip(graphs, results):
             expected = simulate(
@@ -376,45 +469,44 @@ class TestSimulateBatch:
     def test_explicit_comm_model_and_fidelity(self):
         graph = random_dag(15, edge_probability=0.2, mean_comm=4.0, seed=9)
         machine = Machine.ring(5)
-        cells = [
-            (graph, machine, ETFScheduler(), ZeroCommModel()),
-            (graph, machine, ETFScheduler(), LinearCommModel()),
+        models = (ZeroCommModel(), LinearCommModel())
+        lanes = [
+            _compiled_lanes([(graph, machine, ETFScheduler())], model)[0]
+            for model in models
         ]
-        results = simulate_batch(cells, fidelity="contention")
-        for i, comm_model in enumerate((ZeroCommModel(), LinearCommModel())):
+        results = run_lanes(lanes, fidelity="contention")
+        for result, comm_model in zip(results, models):
             expected = simulate(
                 graph, machine, ETFScheduler(), comm_model=comm_model,
                 fidelity="contention", record_trace=False, fast=True,
             )
-            assert results[i].fingerprint() == expected.fingerprint()
+            assert result.fingerprint() == expected.fingerprint()
 
-    def test_unfoldable_comm_model_falls_back_to_object_engine(self):
+    def test_unfoldable_comm_model_runs_on_object_engine(self):
         graph = random_dag(10, edge_probability=0.3, seed=4)
         machine = Machine.hypercube(2)
-        cells = [
-            (graph, machine, HLFScheduler(seed=0), _CustomComm()),
-            (graph, machine, HLFScheduler(seed=0)),
-        ]
-        results = simulate_batch(cells)
+        auto = simulate(
+            graph, machine, HLFScheduler(seed=0), comm_model=_CustomComm(),
+            record_trace=False,
+        )
         expected_custom = simulate(
             graph, machine, HLFScheduler(seed=0), comm_model=_CustomComm(),
             record_trace=False, fast=False,
         )
-        assert results[0].fingerprint() == expected_custom.fingerprint()
-        assert results[1].makespan > 0.0
+        assert auto.fingerprint() == expected_custom.fingerprint()
 
     def test_empty_cells(self):
-        assert simulate_batch([]) == []
         assert run_lanes([]) == []
         assert run_batch([]) == []
 
     def test_bad_fidelity_rejected(self):
-        graph = _two_roots_graph()
-        scenario = _compile_cell(graph, Machine.hypercube(2), LinearCommModel())
+        scenario = _compile_cell(
+            _two_roots_graph(), Machine.hypercube(2), LinearCommModel()
+        )
         with pytest.raises(SimulationError, match="fidelity"):
-            run_batch([(scenario, HLFScheduler(seed=0))], fidelity="exact")
+            run_lanes([(scenario, HLFScheduler(seed=0))], fidelity="exact")
         with pytest.raises(SimulationError, match="fidelity"):
-            simulate_batch(
-                [(graph, Machine.hypercube(2), HLFScheduler(seed=0))],
+            run_lanes(
+                [(scenario, HLFScheduler(seed=0)), (scenario, LPTScheduler())],
                 fidelity="exact",
             )

@@ -11,9 +11,10 @@ Four layers of coverage for the pegasus/elementary/irw families:
   registry count formulas, draws strictly positive durations (>= the shared
   ``MIN_DURATION`` floor) and non-negative communication weights, and is
   bit-reproducible (fixed seed ⇒ identical structural fingerprint);
-* **differential** — each family runs through the object, fast and batched
-  engines at both fidelities on homogeneous and heterogeneous machines,
-  fingerprint-identical cell for cell, plus one mixed 14-lane batch;
+* **differential** — each family runs through the object engine, the fast
+  engine and the lane router at both fidelities on homogeneous and
+  heterogeneous machines, fingerprint-identical cell for cell, plus one
+  mixed 14-lane group (lock-step batched at latency fidelity);
 * **golden** — one representative (family, machine, policy) cell per family
   is pinned in ``tests/golden/families.json`` (regenerate with
   ``python -m pytest tests/test_families.py --regen-golden``).
@@ -30,10 +31,9 @@ from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.machine.machine import Machine
 from repro.schedulers.etf import ETFScheduler
-from repro.sim.batch_engine import run_batch
 from repro.sim.compile import compile_scenario
 from repro.sim.engine import simulate
-from repro.sim.fast_engine import run_compiled
+from repro.sim.fast_engine import run_compiled, run_lanes
 from repro.taskgraph.families import (
     FAMILIES,
     FAMILY_GROUPS,
@@ -186,14 +186,14 @@ class TestEngineEquivalence:
                 graph, machine, ETFScheduler(), comm_model=comm,
                 fidelity=fidelity, record_trace=False, fast=True,
             )
-            [batched] = run_batch([(scenario, ETFScheduler())], fidelity=fidelity)
+            [batched] = run_lanes([(scenario, ETFScheduler())], fidelity=fidelity)
             assert obj.fingerprint() == fast.fingerprint(), f"{key}/{fidelity}"
             assert fast.fingerprint() == batched.fingerprint(), f"{key}/{fidelity}"
             assert obj.task_processor == batched.task_processor
 
     @pytest.mark.parametrize("fidelity", ["latency", "contention"])
     def test_all_families_in_one_mixed_batch(self, fidelity):
-        """Fourteen ragged family lanes in lock-step match their solo runs."""
+        """Fourteen ragged family lanes through the lane router match solo runs."""
         comm = LinearCommModel()
         machines = [_MACHINES["hom"](), _MACHINES["het"]()]
         lanes = []
@@ -203,7 +203,7 @@ class TestEngineEquivalence:
             machine = machines[i % 2]
             scenario = compile_scenario(graph, machine, comm, levels=graph.levels())
             lanes.append((scenario, ETFScheduler()))
-        batched = run_batch(
+        batched = run_lanes(
             [(s, ETFScheduler()) for s, _ in lanes], fidelity=fidelity
         )
         for (scenario, _), result in zip(lanes, batched):

@@ -239,11 +239,17 @@ class TestService:
             for key in SCIENCE:
                 assert row[key] == direct[key], (job, key)
             assert row["fingerprint"] == direct["fingerprint"]
-        # SA rode the batched lanes with everyone else.
+        # SA shares the coalesced items but runs solo inside them; the
+        # kernel policies ride the batched lanes.
+        assert all(
+            row["engine_used"] == "fast"
+            for job, row in zip(jobs, rows)
+            if job["policy"] == "SA"
+        )
         assert any(
             row["engine_used"] == "batched"
             for job, row in zip(jobs, rows)
-            if job["policy"] == "SA"
+            if job["policy"] != "SA"
         )
         assert (
             after["coalescing"]["coalesced_jobs"]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError, WorkerError
+from repro.experiments import sweep as sweep_module
 from repro.experiments.sweep import (
     GRAPH_FAMILIES,
     HETERO_MACHINES,
@@ -453,6 +454,43 @@ class TestFailureTaxonomy:
         )
         assert report["meta"]["n_failed"] == 0
         assert report["meta"]["faults"]["lane_fallbacks"] == {"RuntimeError": 4}
+
+    @pytest.mark.parametrize("fidelity", ["latency", "contention"])
+    def test_lane_rows_report_the_engine_that_ran_them(self, fidelity):
+        """Batched rows say "batched", solo-routed rows "fast"; numbers match."""
+        specs = [
+            dict(_spec(seed, policy=policy), fidelity=fidelity)
+            for seed, policy in enumerate(("HLF", "SA", "ETF"))
+        ]
+        rows = run_lane_group([dict(s) for s in specs])
+        for spec, row in zip(specs, rows):
+            batched = fidelity == "latency" and spec["policy"] != "SA"
+            assert row["engine_used"] == ("batched" if batched else "fast")
+            assert row["runtime_s"] > 0.0
+            solo = run_scenario(dict(spec))
+            assert row["makespan"] == solo["makespan"]
+            assert row["n_packets"] == solo["n_packets"]
+
+    def test_solo_lane_failure_quarantines_only_that_lane(self, monkeypatch):
+        real = sweep_module.run_lanes
+
+        def flaky(lanes, fidelity):
+            if len(lanes) == 1:
+                raise RuntimeError("solo lane blew up")
+            return real(lanes, fidelity=fidelity)
+
+        monkeypatch.setattr(sweep_module, "run_lanes", flaky)
+        specs = [_spec(0), _spec(1, policy="SA"), _spec(2, policy="ETF")]
+        rows = run_lane_group([dict(s) for s in specs])
+        assert [row["lane_fallback"] is None for row in rows] == [True, False, True]
+        assert rows[1]["lane_fallback"]["error_type"] == "RuntimeError"
+        assert rows[1]["engine_used"] == "fast"
+        assert rows[1]["makespan"] == run_scenario(dict(specs[1]))["makespan"]
+
+    def test_service_shares_the_lane_eligibility_rule(self):
+        from repro.service import jobs
+
+        assert jobs.lane_eligible is sweep_module.lane_eligible
 
     def test_parallel_map_raises_worker_error_on_failure(self):
         def boom(item):
