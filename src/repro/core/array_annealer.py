@@ -38,20 +38,21 @@ the :class:`~repro.core.kernel.PacketKernel`'s dense tables:
   :class:`~repro.sim.compile.FastPacket`, gathering the communication table
   from the compiled scenario's per-edge equation-4 tensor instead of calling
   ``cost_row`` per predecessor (same accumulation order, bit-identical
-  rows).  This is what gives SA a real ``fast_assign``.
+  rows).  This is what gives SA a real ``fast_assign``; a
+  :class:`TaskLowering` lets a run lower each ready task once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.annealing.acceptance import BoltzmannSigmoidAcceptance
 from repro.annealing.annealer import Annealer, AnnealingResult
 from repro.annealing.stopping import CombinedStopping, StallStopping
-from repro.core.kernel import PacketKernel
+from repro.core.kernel import PacketKernel, comm_range_from_terms, comm_range_term
 from repro.core.moves import _DROP_PROBABILITY
 from repro.core.packet import AnnealingPacket, PacketMapping
 
@@ -59,6 +60,7 @@ __all__ = [
     "anneal_array",
     "anneal_replicas_batched",
     "compile_fast_packet",
+    "TaskLowering",
 ]
 
 #: One ``(temperature, cost)`` sample per temperature step.
@@ -563,10 +565,61 @@ def _race(kernel: PacketKernel, annealer: Annealer, rngs, plan):
 # FastPacket -> index-space packet + kernel (the SA fast_assign front end)
 # --------------------------------------------------------------------------- #
 
+class TaskLowering:
+    """Per-run cache of what :func:`compile_fast_packet` derives per ready task.
+
+    Once a task is ready every predecessor is placed, and placements never
+    change within a run, so a task's predecessor placement tuple, its
+    equation-4 row over *all* processors and its
+    :func:`~repro.core.kernel.comm_range_term` are run-long invariants.  Each
+    is computed the first packet its task appears in; later packets gather
+    ``rows[ready][:, idle]``.  The row accumulates the predecessor tables in
+    CSR order, exactly as the per-packet gather did, so every entry is
+    bit-identical.
+    """
+
+    __slots__ = ("scenario", "placement", "range_term", "rows")
+
+    def __init__(self, scenario) -> None:
+        self.scenario = scenario
+        n = scenario.n_tasks
+        #: Predecessor ``(pred, proc, weight)`` tuples; ``None`` until lowered.
+        self.placement: List[Optional[tuple]] = [None] * n
+        #: ``comm_range_term`` per task (``None`` without predecessors or
+        #: with communication off, where ``dF_c`` is 1.0).
+        self.range_term: List[Optional[float]] = [None] * n
+        costly = scenario.comm_model.enabled and scenario._pred_costs is not None
+        self.rows = np.zeros((n, scenario.n_procs)) if costly else None
+
+    def lower(self, tasks, assigned) -> None:
+        """Lower each task of *tasks* not lowered yet."""
+        sc = self.scenario
+        indptr = sc.pred_indptr_list
+        pred_ids = sc.pred_ids_list
+        pred_weights = sc.pred_weights
+        pc = sc._pred_costs
+        rows = self.rows
+        enabled = sc.comm_model.enabled
+        for ti in tasks:
+            if self.placement[ti] is not None:
+                continue
+            entries = []
+            for e in range(indptr[ti], indptr[ti + 1]):
+                p = pred_ids[e]
+                proc = int(assigned[p])
+                entries.append((p, proc, float(pred_weights[e])))
+                if rows is not None:
+                    rows[ti] += pc[e, proc]
+            self.placement[ti] = tuple(entries)
+            if enabled and entries:
+                self.range_term[ti] = comm_range_term(entries, sc.machine)
+
+
 def compile_fast_packet(
     fast_packet,
     weight_balance: float = 0.5,
     weight_comm: float = 0.5,
+    lowering: Optional[TaskLowering] = None,
 ) -> Tuple[AnnealingPacket, PacketKernel]:
     """Lower one fast-engine epoch into an annealing packet and its kernel.
 
@@ -578,40 +631,34 @@ def compile_fast_packet(
     the accumulation order of :func:`~repro.comm.model.comm_cost_table` — so
     the tables (and therefore every annealing decision) are bit-identical to
     the ones the materialized-context path would build.
+
+    *lowering* is the run's :class:`TaskLowering` for this scenario (a
+    fresh one when ``None``); it is filled in for the packet's new tasks.
     """
     sc = fast_packet.scenario
-    machine = sc.machine
+    if lowering is None:
+        lowering = TaskLowering(sc)
     ready = list(fast_packet.ready)
     idle = list(fast_packet.idle)
+    lowering.lower(ready, fast_packet.assigned_proc)
     levels_list = sc.levels_list
-    indptr = sc.pred_indptr_list
-    pred_ids = sc.pred_ids_list
-    pred_weights = sc.pred_weights
-    assigned = fast_packet.assigned_proc
-    placement = {}
-    for ti in ready:
-        entries = []
-        for e in range(indptr[ti], indptr[ti + 1]):
-            p = pred_ids[e]
-            entries.append((p, int(assigned[p]), float(pred_weights[e])))
-        placement[ti] = tuple(entries)
+    placement = lowering.placement
     packet = AnnealingPacket(
         time=fast_packet.time,
         ready_tasks=tuple(ready),
         idle_processors=tuple(idle),
         levels={ti: levels_list[ti] for ti in ready},
-        predecessor_placement=placement,
+        predecessor_placement={ti: placement[ti] for ti in ready},
     )
-    comm_model = sc.comm_model
-    table = np.zeros((len(ready), len(idle)), dtype=np.float64)
-    if comm_model.enabled and sc._pred_costs is not None:
-        procs = np.asarray(idle, dtype=np.intp)
-        pc = sc._pred_costs
-        for i, ti in enumerate(ready):
-            row = table[i]
-            for e in range(indptr[ti], indptr[ti + 1]):
-                row += pc[e, int(assigned[pred_ids[e]]), procs]
+    if lowering.rows is None:
+        table = np.zeros((len(ready), len(idle)), dtype=np.float64)
+    else:
+        table = lowering.rows[np.ix_(ready, idle)]
+    terms = lowering.range_term
+    comm_range = comm_range_from_terms(
+        [terms[ti] for ti in ready if terms[ti] is not None], len(idle)
+    )
     kernel = PacketKernel.from_tables(
-        packet, machine, comm_model, table, weight_balance, weight_comm
+        packet, sc.machine, sc.comm_model, table, weight_balance, weight_comm, comm_range
     )
     return packet, kernel

@@ -46,6 +46,8 @@ __all__ = [
     "idle_processor_speeds",
     "compute_balance_range",
     "compute_comm_range",
+    "comm_range_term",
+    "comm_range_from_terms",
 ]
 
 TaskId = Hashable
@@ -116,22 +118,35 @@ def compute_comm_range(packet: AnnealingPacket, machine, comm_model: Communicati
     """
     if not comm_model.enabled:
         return 1.0
-    diameter = max(machine.diameter, 1)
-    weighted_diameter = max(getattr(machine, "weighted_diameter", diameter), 1)
-    totals = []
+    terms = []
     for task in packet.ready_tasks:
         preds = packet.predecessor_placement.get(task, ())
-        if not preds:
-            continue
-        worst = sum(
-            effective_comm_cost(w, diameter, False, machine.params, weighted_diameter)
-            for _, _, w in preds
-        )
-        totals.append(worst)
-    if not totals:
+        if preds:
+            terms.append(comm_range_term(preds, machine))
+    return comm_range_from_terms(terms, packet.n_idle)
+
+
+def comm_range_term(preds, machine) -> float:
+    """One candidate's worst case for :func:`compute_comm_range`.
+
+    The equation-4 cost of every ``(pred, proc, weight)`` entry in *preds*
+    sent across the diameter.  It depends only on the task's predecessor
+    edges, so a caller lowering a task once per run may cache it.
+    """
+    diameter = max(machine.diameter, 1)
+    weighted_diameter = max(getattr(machine, "weighted_diameter", diameter), 1)
+    return sum(
+        effective_comm_cost(w, diameter, False, machine.params, weighted_diameter)
+        for _, _, w in preds
+    )
+
+
+def comm_range_from_terms(terms: List[float], n_idle: int) -> float:
+    """``dF_c`` from the :func:`comm_range_term` of each candidate with predecessors."""
+    if not terms:
         return 1.0
-    totals.sort(reverse=True)
-    k = min(packet.n_idle, len(totals))
+    totals = sorted(terms, reverse=True)
+    k = min(n_idle, len(totals))
     if k == 0:
         return 1.0
     estimate = sum(totals[:k])
@@ -158,6 +173,9 @@ class PacketKernel:
         (the default) builds it with :func:`~repro.comm.model.comm_cost_table`;
         a caller passing one (see :meth:`from_tables`) guarantees its entries
         are bit-identical to that construction.
+    comm_range:
+        Optional precomputed ``dF_c``; ``None`` (the default) computes it
+        with :func:`compute_comm_range`.
     """
 
     __slots__ = (
@@ -188,6 +206,7 @@ class PacketKernel:
         weight_balance: float = 0.5,
         weight_comm: float = 0.5,
         comm_table=None,
+        comm_range: Optional[float] = None,
     ) -> None:
         comm_model = comm_model if comm_model is not None else LinearCommModel()
         self.packet = packet
@@ -225,7 +244,9 @@ class PacketKernel:
         self.weight_balance = float(weight_balance)
         self.weight_comm = float(weight_comm)
         self.balance_range = compute_balance_range(packet, self.speeds)
-        self.comm_range = compute_comm_range(packet, machine, comm_model)
+        if comm_range is None:
+            comm_range = compute_comm_range(packet, machine, comm_model)
+        self.comm_range = comm_range
 
     @classmethod
     def from_tables(
@@ -236,6 +257,7 @@ class PacketKernel:
         comm_table,
         weight_balance: float = 0.5,
         weight_comm: float = 0.5,
+        comm_range: Optional[float] = None,
     ) -> "PacketKernel":
         """Build a kernel around an externally-built communication table.
 
@@ -243,9 +265,10 @@ class PacketKernel:
         typically gathered from a compiled scenario's per-edge tensor
         (:func:`repro.core.array_annealer.compile_fast_packet`).  The caller
         guarantees its entries are bit-identical to what
-        :func:`~repro.comm.model.comm_cost_table` would produce; everything
-        else (levels, speeds, balance rows, normalization ranges) is derived
-        by the regular constructor.
+        :func:`~repro.comm.model.comm_cost_table` would produce, and that a
+        *comm_range* it passes equals :func:`compute_comm_range`'s; everything
+        else (levels, speeds, balance rows, balance range) is derived by the
+        regular constructor.
         """
         return cls(
             packet,
@@ -254,6 +277,7 @@ class PacketKernel:
             weight_balance=weight_balance,
             weight_comm=weight_comm,
             comm_table=comm_table,
+            comm_range=comm_range,
         )
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from repro.annealing.portfolio import PortfolioConfig
-from repro.core.array_annealer import compile_fast_packet
+from repro.core.array_annealer import TaskLowering, compile_fast_packet
 from repro.core.config import SAConfig
 from repro.core.packet import AnnealingPacket
 from repro.core.packet_annealer import PacketAnnealer, PacketAnnealingOutcome
@@ -74,6 +74,8 @@ class SAScheduler(SchedulingPolicy):
         self.packet_outcomes: List[PacketAnnealingOutcome] = []
         self._committed: Dict[TaskId, ProcId] = {}
         self._last_outcome: Optional[PacketAnnealingOutcome] = None
+        #: The fast path's per-task lowering cache (one scenario per run).
+        self._lowering: Optional[TaskLowering] = None
         #: optional observer called with ``best_so_far(include_assignment=False)``
         #: after every committed packet — the anytime progress channel the
         #: scheduling service's long-running jobs report through.
@@ -87,6 +89,7 @@ class SAScheduler(SchedulingPolicy):
         self.packet_outcomes = []
         self._committed = {}
         self._last_outcome = None
+        self._lowering = None
 
     def with_replicas(self, replicas: int) -> "SAScheduler":
         """A new scheduler annealing *replicas* multi-start chains per packet.
@@ -210,10 +213,10 @@ class SAScheduler(SchedulingPolicy):
 
         Lowers the :class:`~repro.sim.compile.FastPacket` into an annealing
         packet + kernel (:func:`~repro.core.array_annealer.compile_fast_packet`
-        gathers the equation-4 table from the scenario's per-edge tensor) and
-        runs the same spawn / split / walk sequence as :meth:`assign`, so a
-        fast-engine run commits bit-identical mappings and consumes the
-        scheduler RNG identically.  Declines (before touching any stochastic
+        gathers the equation-4 table from rows lowered once per task per
+        run) and runs the same spawn / split / walk sequence as
+        :meth:`assign`, so a fast-engine run commits bit-identical mappings
+        and consumes the scheduler RNG identically.  Declines (before touching any stochastic
         state) for the reference path (``compiled=False``) and for
         trajectory-recording runs, which need the materialized context.
         """
@@ -222,8 +225,11 @@ class SAScheduler(SchedulingPolicy):
             return None
         if packet.n_idle == 0 or packet.n_ready == 0:
             return {}
+        lowering = self._lowering
+        if lowering is None or lowering.scenario is not packet.scenario:
+            lowering = self._lowering = TaskLowering(packet.scenario)
         apacket, kernel = compile_fast_packet(
-            packet, cfg.weight_balance, cfg.weight_comm
+            packet, cfg.weight_balance, cfg.weight_comm, lowering
         )
         seeds = self._portfolio_seeds(lambda: ETFScheduler().fast_assign(packet))
         packet_rng = spawn_rng(self._rng, 1)[0]

@@ -13,10 +13,14 @@ Three mechanisms make the server fast where one-process-per-request is slow:
   :mod:`repro.experiments.supervisor` are kept alive across requests, so
   the per-process compiled-scenario memo (:mod:`repro.sim.compile`) stays
   hot instead of being rebuilt for every job.
-* **Cache-affinity sharding** — jobs are routed to workers by a stable hash
-  of their (graph, machine) identity (:func:`repro.service.jobs.affinity_key`),
-  so repeat scenarios land on the worker that already compiled them; the
-  server's ``stats`` op proves the hit rate climbs as the cache warms.
+* **Cache-affinity sharding, work-conserving** — each job's home worker is
+  a stable hash of its (graph, machine) identity
+  (:func:`repro.service.jobs.affinity_key`), so repeat scenarios land on
+  the worker that already compiled them; the server's ``stats`` op proves
+  the hit rate climbs as the cache warms.  The hash never idles a worker:
+  a job whose home is busy spills to an idle worker, and a worker that
+  runs dry takes queued jobs from a busy one (``stats`` counts these
+  ``steals``).
 * **Request coalescing** — compatible concurrent jobs queued for the same
   worker are flushed (on batch size or a small time window) as **one**
   work item (:func:`repro.experiments.sweep.run_lane_group`): one pipe

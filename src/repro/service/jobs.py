@@ -4,10 +4,11 @@ Pure functions over scenario specs (the dicts
 :func:`repro.service.protocol.job_to_spec` produces), separated from the
 server's event loop so the routing policy is unit-testable on its own:
 
-* :func:`affinity_key` / :func:`shard` — which worker a job *wants*: a
-  stable hash of the (graph, machine) identity, so repeats of the same
-  scenario land on the worker whose compiled-scenario memo
-  (:mod:`repro.sim.compile`) already holds it.
+* :func:`affinity_key` / :func:`shard` — which worker a job *wants* (its
+  home): a stable hash of the (graph, machine) identity, so repeats of the
+  same scenario land on the worker whose compiled-scenario memo
+  (:mod:`repro.sim.compile`) already holds it.  The server may run a job
+  elsewhere when its home is busy and another worker is idle.
 * :func:`lane_eligible` / :func:`coalesce_key` — whether and with whom a
   job may share one lane-group item
   (:func:`repro.experiments.sweep.run_lane_group`).  The eligibility rule

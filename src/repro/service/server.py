@@ -11,10 +11,16 @@ Request flow for a ``simulate`` job:
 
 1. the job is validated and lowered to a sweep scenario spec
    (:func:`repro.service.protocol.job_to_spec`);
-2. it is routed to the worker its :func:`~repro.service.jobs.affinity_key`
-   hashes to, so repeats of a (graph, machine) pair reuse that worker's
-   compiled-scenario memo;
-3. it waits in that worker's queue until the **coalescer** flushes — at
+2. it is routed to its **home** worker, the one its
+   :func:`~repro.service.jobs.affinity_key` hashes to, so repeats of a
+   (graph, machine) pair reuse that worker's compiled-scenario memo.
+   Dispatch is **work-conserving**: no worker idles while a busy worker's
+   queue holds a job.  A job whose home is busy *spills* to an idle worker
+   with an empty queue, and a worker that finishes with an empty queue
+   *takes* the next group (the same :meth:`SchedulerService._take_batch`
+   rule) from the longest queue of a busy worker.  A job never leaves an
+   idle home, and results do not depend on which worker runs a job;
+3. it waits in its worker's queue until the **coalescer** flushes — at
    batch size ``batch`` or after ``window_ms`` — and compatible queued jobs
    leave as *one* :func:`~repro.experiments.sweep.run_lane_group` item
    (HLF/ETF/LPT latency jobs share one batched B-lane engine call, the
@@ -34,6 +40,7 @@ A worker that dies mid-batch is respawned and its jobs are requeued
 transparently (bounded by ``retries``); jobs that exhaust their attempts get
 a structured ``WorkerError`` response.  The ``stats`` op exposes the
 counters that prove the design: coalescing batch sizes, affinity hit rates,
+per-worker dispatches and steals (jobs run away from their home),
 aggregated compile-cache traffic across workers, and worker lifecycle
 events.
 """
@@ -57,6 +64,11 @@ from repro.service import protocol
 from repro.utils.chaos import ChaosConfig
 
 __all__ = ["ServiceConfig", "SchedulerService", "serve_in_thread"]
+
+#: After an oversized line, the server reads and drops at most this much of
+#: the client's remaining input, for at most this long, before closing.
+_DISCARD_BYTES = 64 * 1024 * 1024
+_DISCARD_S = 5.0
 
 
 @dataclass
@@ -108,8 +120,8 @@ class _Job:
     """
 
     __slots__ = (
-        "request_id", "spec", "writer", "attempt", "affinity", "eligible",
-        "ckey", "job_id",
+        "request_id", "spec", "writer", "attempt", "affinity", "home",
+        "eligible", "ckey", "job_id",
     )
 
     def __init__(
@@ -117,6 +129,7 @@ class _Job:
         request_id,
         spec: dict,
         writer: asyncio.StreamWriter,
+        n_workers: int,
         job_id: Optional[str] = None,
     ):
         self.request_id = request_id
@@ -124,6 +137,8 @@ class _Job:
         self.writer = writer
         self.attempt = 1
         self.affinity = jobs_module.affinity_key(spec)
+        #: Index of the worker the affinity hash picks.
+        self.home = jobs_module.shard(spec, n_workers)
         self.eligible = job_id is None and jobs_module.lane_eligible(spec)
         self.ckey = jobs_module.coalesce_key(spec)
         self.job_id = job_id
@@ -132,9 +147,13 @@ class _Job:
 class _WorkerSlot:
     """A persistent pool worker plus its coalescing queue and cache ledger."""
 
-    __slots__ = ("worker", "queue", "inflight", "timer", "seen", "dispatches")
+    __slots__ = (
+        "index", "worker", "queue", "inflight", "timer", "seen", "dispatches",
+        "steals",
+    )
 
-    def __init__(self, worker: PoolWorker):
+    def __init__(self, index: int, worker: PoolWorker):
+        self.index = index
         self.worker = worker
         self.queue: Deque[_Job] = deque()
         #: Jobs inside the currently dispatched item (None = worker idle).
@@ -144,6 +163,8 @@ class _WorkerSlot:
         #: mirroring the worker-side scenario memo without a round trip).
         self.seen: Set[str] = set()
         self.dispatches = 0
+        #: Jobs this worker ran whose home is another worker.
+        self.steals = 0
 
 
 def _new_stats() -> dict:
@@ -212,8 +233,8 @@ class SchedulerService:
         """Spawn the persistent workers and start listening."""
         self._loop = asyncio.get_running_loop()
         self._started_at = time.monotonic()
-        for _ in range(self.config.workers):
-            self._slots.append(self._spawn_slot())
+        for index in range(self.config.workers):
+            self._slots.append(self._spawn_slot(index))
         self._server = await asyncio.start_server(
             self._handle_client,
             self.config.host,
@@ -240,9 +261,10 @@ class SchedulerService:
         async with self._server:
             await self._server.serve_forever()
 
-    def _spawn_slot(self) -> _WorkerSlot:
+    def _spawn_slot(self, index: int) -> _WorkerSlot:
         slot = _WorkerSlot(
-            PoolWorker(self._ctx, sweep_module._run_sweep_item, self._pool_config)
+            index,
+            PoolWorker(self._ctx, sweep_module._run_sweep_item, self._pool_config),
         )
         self._add_reader(slot)
         return slot
@@ -284,6 +306,7 @@ class SchedulerService:
                             ),
                         ),
                     )
+                    await self._hang_up(reader, writer)
                     break
                 if not line:
                     break
@@ -296,6 +319,30 @@ class SchedulerService:
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
+
+    async def _hang_up(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Deliver what was written, then close without resetting the peer.
+
+        Closing a socket with unread input makes the kernel send a reset,
+        which can overtake the reply still in flight.  So: flush, half-close
+        (the client reads EOF after the reply), and discard the rest of the
+        client's input, bounded in bytes and time, before the caller closes.
+        """
+        await self._drain(writer)
+        with contextlib.suppress(OSError):
+            writer.write_eof()
+        budget = _DISCARD_BYTES
+        deadline = time.monotonic() + _DISCARD_S
+        with contextlib.suppress(asyncio.TimeoutError, ConnectionError, OSError):
+            while budget > 0:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(budget, 1 << 16)), deadline - time.monotonic()
+                )
+                if not chunk:
+                    break
+                budget -= len(chunk)
 
     def _handle_line(self, line: bytes, writer: asyncio.StreamWriter) -> None:
         request_id = None
@@ -339,7 +386,7 @@ class SchedulerService:
             job_id = self._register_job(spec)
             # Answer now; the job continues detached and poll reads it back.
             self._write(writer, {"id": request_id, "ok": True, "job_id": job_id})
-        job = _Job(request_id, spec, writer, job_id=job_id)
+        job = _Job(request_id, spec, writer, len(self._slots), job_id=job_id)
         if not self._slots:
             assert self._loop is not None
             self._loop.create_task(self._run_inline(job))
@@ -383,7 +430,15 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
 
     def _enqueue(self, job: _Job, front: bool) -> None:
-        slot = self._slots[jobs_module.shard(job.spec, len(self._slots))]
+        slot = self._slots[job.home]
+        if slot.inflight is not None:
+            # Spill: a busy home hands the job to an idle worker with an
+            # empty queue.  A job never leaves an idle home, so the home's
+            # coalescing window is unaffected.
+            slot = next(
+                (s for s in self._slots if s.inflight is None and not s.queue),
+                slot,
+            )
         if front:
             slot.queue.appendleft(job)
         else:
@@ -435,19 +490,37 @@ class SchedulerService:
             slot.queue.appendleft(job)
         return batch
 
-    def _flush(self, slot: _WorkerSlot) -> None:
-        if slot.inflight is not None or not slot.queue or self._closing:
+    def _dispatch_next(self, slot: _WorkerSlot) -> None:
+        """A worker came free: run its own queue, else take from the busiest.
+
+        Take: with nothing queued of its own, the worker takes the next
+        group (the :meth:`_take_batch` rule) from the longest queue of a
+        busy worker, so no worker idles while another's queue holds a job.
+        """
+        if slot.queue:
+            self._flush(slot)
+            return
+        busy = [s for s in self._slots if s.inflight is not None and s.queue]
+        if busy:
+            self._flush(slot, source=max(busy, key=lambda s: len(s.queue)))
+
+    def _flush(self, slot: _WorkerSlot, source: Optional[_WorkerSlot] = None) -> None:
+        """Dispatch the next group of *source*'s queue (default: the slot's own)."""
+        source = source or slot
+        if slot.inflight is not None or not source.queue or self._closing:
             return
         if slot.timer is not None:
             slot.timer.cancel()
             slot.timer = None
-        batch = self._take_batch(slot)
+        batch = self._take_batch(source)
         for job in batch:
             if job.affinity in slot.seen:
                 self._stats["affinity_hits"] += 1
             else:
                 self._stats["affinity_misses"] += 1
                 slot.seen.add(job.affinity)
+            if job.home != slot.index:
+                slot.steals += 1
         if len(slot.seen) > 4096:
             slot.seen.clear()  # ledger bound; worker memo is bounded too
         item = batch[0].spec if len(batch) == 1 else [job.spec for job in batch]
@@ -469,10 +542,11 @@ class SchedulerService:
         except (BrokenPipeError, OSError):
             # The worker exited between replies (e.g. a maxtasksperchild
             # recycle); nothing was delivered, so requeue without charging
-            # an attempt and replace the worker.
+            # an attempt and hand the jobs to a fresh worker.
             for job in reversed(batch):
                 slot.queue.appendleft(job)
             self._replace_worker(slot, died=False)
+            self._flush(slot)
             return
         slot.inflight = batch
         slot.dispatches += 1
@@ -527,7 +601,7 @@ class SchedulerService:
             # unpicklable row): charge an attempt and retry the jobs.
             error = err or ("MalformedResult", "worker returned a malformed batch")
             self._retry_batch(slot, batch, error[0], error[1])
-        self._flush(slot)
+        self._dispatch_next(slot)
 
     def _handle_worker_exit(self, slot: _WorkerSlot) -> None:
         batch = slot.inflight
@@ -542,7 +616,7 @@ class SchedulerService:
                 "WorkerDeath",
                 "worker died mid-job; the job was re-dispatched",
             )
-        self._flush(slot)
+        self._dispatch_next(slot)
 
     def _replace_worker(self, slot: _WorkerSlot, died: bool) -> None:
         self._remove_reader(slot)
@@ -659,6 +733,7 @@ class SchedulerService:
                 "respawns": s["respawns"],
                 "queued": sum(len(slot.queue) for slot in self._slots),
                 "dispatches": [slot.dispatches for slot in self._slots],
+                "steals": [slot.steals for slot in self._slots],
             },
             "jobs": {
                 "received": s["received"],

@@ -218,6 +218,35 @@ class TestSAScheduler:
         assert result.makespan >= graph.critical_path_length() - 1e-9
         assert len(result.task_processor) == graph.n_tasks
 
+    def test_fast_path_lowers_each_task_once_per_run(self, hypercube8, monkeypatch):
+        # The per-task lowering (placement, eq-4 row, dF_c term) is a run-long
+        # invariant: one comm_range_term per task with predecessors per run,
+        # and schedules identical to the context path that lowers per packet.
+        import repro.core.array_annealer as array_annealer
+
+        calls = []
+        original = array_annealer.comm_range_term
+
+        def counting(preds, machine):
+            calls.append(len(preds))
+            return original(preds, machine)
+
+        monkeypatch.setattr(array_annealer, "comm_range_term", counting)
+        graph = gen.layered_random(6, 8, seed=4, mean_comm=4.0)
+        with_preds = sum(1 for t in graph.tasks if graph.predecessors(t))
+        sched = SAScheduler(SAConfig(seed=2))
+        fast = simulate(graph, hypercube8, sched, comm_model=LinearCommModel(), fast=True)
+        assert len(calls) == with_preds
+        ref = simulate(
+            graph, hypercube8, SAScheduler(SAConfig(seed=2)),
+            comm_model=LinearCommModel(), fast=False,
+        )
+        assert (fast.makespan, fast.task_processor) == (ref.makespan, ref.task_processor)
+        # A second run of the same scheduler resets and lowers afresh.
+        again = simulate(graph, hypercube8, sched, comm_model=LinearCommModel(), fast=True)
+        assert len(calls) == 2 * with_preds
+        assert again.task_processor == fast.task_processor
+
     def test_scheduler_matches_hlf_without_communication(self, hypercube8):
         # with the zero model and HLF seeding, SA can only match or improve on
         # the packet cost, and speedups coincide with HLF on this simple graph

@@ -66,6 +66,20 @@ def _direct(job: dict) -> dict:
     return sweep.run_scenario(spec)
 
 
+def _burst(address, jobs) -> list:
+    """Send every job in one write, so the server reads the whole burst
+    before any worker can answer; the responses in job order."""
+    lines = b"".join(
+        json.dumps({"id": k, "op": "simulate", "job": job}).encode() + b"\n"
+        for k, job in enumerate(jobs)
+    )
+    with socket.create_connection(address, timeout=120) as sock:
+        sock.sendall(lines)
+        reader = sock.makefile("rb")
+        responses = [json.loads(reader.readline()) for _ in jobs]
+    return sorted(responses, key=lambda response: response["id"])
+
+
 # --------------------------------------------------------------------------- #
 # Protocol layer (no server needed)
 # --------------------------------------------------------------------------- #
@@ -260,10 +274,16 @@ class TestService:
     def test_affinity_hit_rate_climbs_when_cache_warm(self, service):
         jobs = [_job(policy_seed=seed) for seed in range(10)]
         with ServiceClient(*service) as client:
-            client.simulate_many(jobs)  # warm the shard
+            # Any worker may run a job (an idle one takes from a busy one),
+            # and a take on a cold worker is a real miss: warm both.  Three
+            # batches on one pair in one write keep both workers dispatching.
+            start = client.stats()
+            _burst(service, [_job(policy_seed=seed) for seed in range(24)])
             before = client.stats()
             client.simulate_many(jobs)
             after = client.stats()
+        warmed = zip(start["workers"]["dispatches"], before["workers"]["dispatches"])
+        assert all(b > a for a, b in warmed)
         new_hits = after["affinity"]["hits"] - before["affinity"]["hits"]
         new_misses = after["affinity"]["misses"] - before["affinity"]["misses"]
         assert new_hits == len(jobs) and new_misses == 0
@@ -419,6 +439,18 @@ class TestServiceErrors:
             assert response["error"]["type"] == "ProtocolError"
             assert reader.readline() == b""  # server hung up
 
+    def test_multi_megabyte_line_always_gets_the_error_reply(self, service):
+        # Closing with megabytes unread would reset the connection, and the
+        # reset can overtake the reply; the server drains the input instead.
+        line = b'{"op": "ping", "pad": "' + b"x" * 4_000_000 + b'"}\n'
+        for _ in range(20):
+            with socket.create_connection(service, timeout=30) as sock:
+                sock.sendall(line)
+                reader = sock.makefile("rb")
+                response = json.loads(reader.readline())
+                assert response["error"]["type"] == "ProtocolError"
+                assert reader.readline() == b""
+
     def test_errors_do_not_break_subsequent_jobs(self, service):
         with ServiceClient(*service) as client:
             responses = client.simulate_many(
@@ -428,6 +460,64 @@ class TestServiceErrors:
         assert responses[0]["ok"] and responses[2]["ok"]
         assert not responses[1]["ok"]
         assert responses[1]["error"]["type"] == "ConfigurationError"
+
+
+class TestDispatch:
+    """Work-conserving dispatch: an idle worker runs jobs homed elsewhere."""
+
+    def test_burst_on_one_pair_uses_both_workers(self):
+        # Every job hashes to the same home worker; the other one must
+        # still dispatch, and every row must match its direct run.
+        jobs = [
+            _job(policy=("HLF", "ETF")[seed % 2], policy_seed=seed, fingerprint=True)
+            for seed in range(24)
+        ]
+        config = ServiceConfig(workers=2, batch=8, window_ms=5.0)
+        with serve_in_thread(config) as address:
+            responses = _burst(address, jobs)
+            with ServiceClient(*address) as client:
+                stats = client.stats()
+        for job, response in zip(jobs, responses):
+            row, direct = response["row"], _direct(job)
+            for key in SCIENCE:
+                assert row[key] == direct[key], (job, key)
+            assert row["fingerprint"] == direct["fingerprint"]
+        workers = stats["workers"]
+        assert all(n > 0 for n in workers["dispatches"]), workers
+        assert sum(workers["steals"]) > 0, workers
+        assert stats["jobs"]["completed"] == len(jobs)
+
+    def test_worker_death_after_a_take_is_retried(self):
+        # Every job dies once (attempt 1) and survives its retry.  One pair,
+        # batch 1, one write: the first job keeps its home busy, so the
+        # second runs on the other worker, which dies on it.
+        chaos = ChaosConfig(rate=0.5, kinds=("die",), seed=11)
+        from repro.experiments.supervisor import spec_key
+
+        jobs = []
+        for seed in range(200):
+            job = _job(policy_seed=seed, fingerprint=True)
+            key = spec_key(job_to_spec(job))
+            if chaos.decide(key, 1) == "die" and chaos.decide(key, 2) is None:
+                jobs.append(job)
+            if len(jobs) == 4:
+                break
+        assert len(jobs) == 4
+        config = ServiceConfig(workers=2, batch=1, window_ms=0.0, retries=2, chaos=chaos)
+        with serve_in_thread(config) as address:
+            responses = _burst(address, jobs)
+            with ServiceClient(*address) as client:
+                stats = client.stats()
+        for job, response in zip(jobs, responses):
+            assert response["ok"], response
+            row, direct = response["row"], _direct(job)
+            assert (row["makespan"], row["fingerprint"]) == (
+                direct["makespan"], direct["fingerprint"]
+            )
+        assert sum(stats["workers"]["steals"]) > 0, stats["workers"]
+        assert stats["workers"]["deaths"] == len(jobs)
+        assert stats["jobs"]["retried"] == len(jobs)
+        assert stats["jobs"]["errors"] == 0
 
 
 class TestFaultTolerance:
